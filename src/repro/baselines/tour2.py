@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.exceptions import EmptyInputError, InvalidParameterError
 from repro.hierarchical.dendrogram import Dendrogram
 from repro.hierarchical.noisy_linkage import noisy_linkage
-from repro.kcenter.objective import ClusteringResult
+from repro.kcenter.objective import ClusteringResult, check_k
 from repro.maximum.tournament import tournament_max, tournament_min
 from repro.metric.space import MetricSpace
 from repro.oracles.base import (
@@ -44,8 +44,7 @@ def kcenter_tour2(
         points = [int(p) for p in points]
     if not points:
         raise EmptyInputError("k-center needs at least one point")
-    if not 1 <= k <= len(points):
-        raise InvalidParameterError(f"k must be between 1 and {len(points)}, got {k}")
+    k = check_k(k, len(points))
     rng = ensure_rng(seed)
     queries_before = oracle.counter.charged_queries
 

@@ -3,9 +3,10 @@
 Layout: one file per task under ``<root>/<experiment>/<key>.json`` where
 ``key`` comes from :func:`repro.engine.hashing.task_key`.  Because the key
 encodes the code version, stale entries (written by older code) are simply
-never looked up again; ``clean`` removes them.  Writes are atomic
-(temp file + ``os.replace``) so an interrupted sweep never leaves a
-half-written entry, which is what makes resume-after-interrupt free.
+never looked up again; ``clean`` removes them.  Writes go through
+:func:`repro.storage.write_file_atomic` (temp file + fsync + ``os.replace``)
+so an interrupted sweep never leaves a half-written entry, which is what
+makes resume-after-interrupt free.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import json
 import os
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional
+
+from repro.storage import write_file_atomic
 
 #: Environment variable overriding the default cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -59,10 +62,7 @@ class ResultCache:
         """Atomically persist *payload*; returns the entry path."""
         path = self.path_for(experiment, key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f".{path.name}.tmp.{os.getpid()}")
-        with tmp.open("w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-        os.replace(tmp, path)
+        write_file_atomic(path, json.dumps(payload))
         return path
 
     def entries(self, experiment: Optional[str] = None) -> List[Path]:

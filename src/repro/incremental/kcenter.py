@@ -37,10 +37,10 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.exceptions import EmptyInputError, InvalidParameterError
+from repro.exceptions import EmptyInputError
 from repro.incremental.view import MutableSpaceView
 from repro.kcenter.greedy_exact import GreedyTrace, greedy_trace
-from repro.kcenter.objective import ClusteringResult
+from repro.kcenter.objective import ClusteringResult, check_k
 
 
 class IncrementalGreedyKCenter:
@@ -53,10 +53,8 @@ class IncrementalGreedyKCenter:
     """
 
     def __init__(self, view: MutableSpaceView, k: int):
-        if k < 1:
-            raise InvalidParameterError(f"k must be >= 1, got {k}")
         self.view = view
-        self.k = int(k)
+        self.k = check_k(k)
         self._trace: Optional[GreedyTrace] = None
         self.n_fallbacks = 0
         self.n_fast_inserts = 0

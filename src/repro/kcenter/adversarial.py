@@ -26,7 +26,7 @@ import math
 from typing import Dict, List, Optional, Sequence
 
 from repro.exceptions import EmptyInputError, InvalidParameterError
-from repro.kcenter.objective import ClusteringResult
+from repro.kcenter.objective import ClusteringResult, check_k
 from repro.maximum.adversarial import max_adversarial
 from repro.oracles.base import AssignmentDistanceOracle, BaseQuadrupletOracle
 from repro.rng import SeedLike, ensure_rng
@@ -68,8 +68,7 @@ def kcenter_adversarial(
         points = [int(p) for p in points]
     if not points:
         raise EmptyInputError("k-center needs at least one point")
-    if not 1 <= k <= len(points):
-        raise InvalidParameterError(f"k must be between 1 and {len(points)}, got {k}")
+    k = check_k(k, len(points))
     rng = ensure_rng(seed)
     queries_before = oracle.counter.charged_queries
 

@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.exceptions import EmptyInputError, InvalidParameterError
-from repro.kcenter.objective import ClusteringResult
+from repro.kcenter.objective import ClusteringResult, check_k
 from repro.metric.space import MetricSpace
 from repro.rng import SeedLike, ensure_rng
 
@@ -141,10 +141,7 @@ def greedy_kcenter_exact(
         points = [int(p) for p in points]
     if not points:
         raise EmptyInputError("greedy k-center needs at least one point")
-    if not 1 <= k <= len(points):
-        raise InvalidParameterError(
-            f"k must be between 1 and {len(points)}, got {k}"
-        )
+    k = check_k(k, len(points))
     rng = ensure_rng(seed)
     if first_center is None:
         first_center = points[int(rng.integers(0, len(points)))]

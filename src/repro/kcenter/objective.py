@@ -72,6 +72,21 @@ class ClusteringResult:
         return labels
 
 
+def check_k(k, n_points: Optional[int] = None) -> int:
+    """Return the cluster count *k* as an ``int`` once it is valid.
+
+    *k* must be a Python or NumPy integer (not a ``bool``) of at least 1,
+    and at most *n_points* when that is given; anything else raises
+    :class:`~repro.exceptions.InvalidParameterError`.
+    """
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise InvalidParameterError(f"k must be an integer, got {k!r}")
+    if k < 1 or (n_points is not None and k > n_points):
+        bound = ">= 1" if n_points is None else f"between 1 and {n_points}"
+        raise InvalidParameterError(f"k must be {bound}, got {k}")
+    return int(k)
+
+
 def kcenter_objective(space: MetricSpace, result: ClusteringResult) -> float:
     """Maximum true distance of any point from its assigned center (lower is better)."""
     if not result.assignment:

@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Set
 import numpy as np
 
 from repro.exceptions import EmptyInputError, InvalidParameterError
-from repro.kcenter.objective import ClusteringResult
+from repro.kcenter.objective import ClusteringResult, check_k
 from repro.maximum.adversarial import max_adversarial
 from repro.oracles.base import BaseQuadrupletOracle, FunctionComparisonOracle
 from repro.rng import SeedLike, ensure_rng
@@ -267,8 +267,7 @@ def kcenter_probabilistic(
         points = [int(p) for p in points]
     if not points:
         raise EmptyInputError("k-center needs at least one point")
-    if not 1 <= k <= len(points):
-        raise InvalidParameterError(f"k must be between 1 and {len(points)}, got {k}")
+    k = check_k(k, len(points))
     if min_cluster_size < 1:
         raise InvalidParameterError("min_cluster_size must be at least 1")
     if gamma <= 0:

@@ -11,15 +11,19 @@ chunks, so peak extra memory is ``O(block cache + chunk)`` regardless of n.
 Access patterns map onto three strategies:
 
 * **Dense-ish batches** — when one ``pair_distances`` call asks for at least
-  ``materialize_threshold`` pairs inside the same block, the whole block is
-  materialised once (amortising to at most ``block_size`` distance
-  evaluations per requested pair) and cached for future calls.
-* **Scattered pairs** — pairs that do not justify a block are computed
-  directly with the vectorised distance function, ``pair_chunk`` pairs at a
+  ``materialize_threshold`` distinct cells inside the same block, the whole
+  block is materialised once (amortising to at most ``block_size`` distance
+  evaluations per distinct cell) and cached for future calls.
+* **Scattered pairs** — cells that do not justify a block are computed
+  directly with the vectorised distance function, ``pair_chunk`` cells at a
   time, bounding the temporary arrays.
 * **Rows** — ``distances_from`` (the k-center / nearest-neighbour hot path)
   computes the row directly in candidate chunks; rows are transient by
   nature (greedy passes never revisit one), so they bypass the block cache.
+
+``pair_distances`` first collapses each batch to its distinct upper-block
+cells, so a pair requested many times in one call is evaluated once and
+counts once toward the threshold.
 
 :class:`DiskBlockBackend` extends the same machinery past what an
 in-memory cache can amortise: evicted blocks and computed rows *spill* to
@@ -173,10 +177,10 @@ class LazyBlockBackend:
         Maximum number of pairs (or row candidates) evaluated per direct
         vectorised chunk; bounds temporary memory at ``O(pair_chunk * d)``.
     materialize_threshold:
-        Minimum number of same-block pairs in a single ``pair_distances``
-        call that justifies materialising the block (default:
-        ``block_size``, i.e. at most ``block_size`` distance evaluations per
-        requested pair before amortisation).
+        Minimum number of distinct same-block cells in a single
+        ``pair_distances`` call that justifies materialising the block
+        (default: ``block_size``, i.e. at most ``block_size`` distance
+        evaluations per distinct cell before amortisation).
     """
 
     def __init__(
@@ -256,19 +260,29 @@ class LazyBlockBackend:
         """Distances for paired indices ``(i[k], j[k])`` with bounded memory.
 
         Pairs are canonicalised into the upper block triangle (every built-in
-        distance is symmetric), grouped by block, and served from cached
-        blocks where possible; blocks attracting at least
-        ``materialize_threshold`` pairs are materialised, the rest are
-        computed directly in chunks.
+        distance is symmetric) and collapsed to their distinct cells, so a
+        repeated pair is evaluated once.  Distinct cells are grouped by
+        block and served from cached blocks where possible; blocks holding
+        at least ``materialize_threshold`` distinct cells are materialised,
+        the rest are computed directly in chunks.  The answers are scattered
+        back to every requested position.
         """
-        m = len(i)
-        out = np.empty(m, dtype=float)
-        if m == 0:
-            return out
+        if len(i) == 0:
+            return np.empty(0, dtype=float)
         size = self.cache.block_size
         swap = (i // size) > (j // size)
         ii = np.where(swap, j, i)
         jj = np.where(swap, i, j)
+        # Count-Max asks O(q, x, q, y) for every sample pair (x, y), so half
+        # a million requested pairs can hold a thousand distinct cells.
+        _, first, inverse = np.unique(
+            ii.astype(np.int64, copy=False) * self.n_points + jj,
+            return_index=True,
+            return_inverse=True,
+        )
+        ii, jj = ii[first], jj[first]
+        m = len(ii)
+        out = np.empty(m, dtype=float)
         bi = ii // size
         bj = jj // size
         block_ids = bi * self.n_blocks + bj
@@ -292,7 +306,7 @@ class LazyBlockBackend:
                 np.concatenate(direct_groups) if len(direct_groups) > 1 else direct_groups[0]
             )
             self._compute_direct(ii, jj, positions, out)
-        return out
+        return out[inverse]
 
     def distances_from(self, i: int, candidates: np.ndarray) -> np.ndarray:
         """Distances from record *i* to each candidate, computed in chunks.

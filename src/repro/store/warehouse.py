@@ -287,7 +287,12 @@ class AnswerStore:
                 pass
 
     def _write_manifest(self) -> None:
-        self.directory.mkdir(parents=True, exist_ok=True)
+        try:
+            self.directory.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError) as error:
+            raise StoreError(
+                f"store path {self.directory} is not a directory: {error}"
+            ) from error
         write_file_atomic(
             self.manifest_path, fmt.encode_manifest(self.n_shards, self.n_records) + "\n"
         )

@@ -79,3 +79,23 @@ def line_matrix_space():
     coords = np.array([0.0, 1.0, 3.0, 6.0, 10.0])
     matrix = np.abs(coords[:, None] - coords[None, :])
     return DistanceMatrixSpace(matrix)
+
+
+@pytest.fixture
+def duplicate_heavy_pairs():
+    """Factory of pair batches with few distinct pairs, as one Count-Max round sends.
+
+    ``make(n)`` returns ``(i, j)``: 30 random pairs, each repeated 40 times
+    in both orientations, plus 30 ``i == j`` pairs repeated as often, in a
+    shuffled order.
+    """
+
+    def make(n, seed=4):
+        rng = np.random.default_rng(seed)
+        a, b = rng.integers(0, n, size=(2, 30))
+        i = np.tile(np.concatenate([a, b, a]), 40)
+        j = np.tile(np.concatenate([b, a, a]), 40)
+        order = rng.permutation(len(i))
+        return i[order], j[order]
+
+    return make

@@ -151,6 +151,7 @@ class TestCache:
         cache.put("exp", "k1", {"result": {"name": "exp"}})
         assert cache.get("exp", "k1") == {"result": {"name": "exp"}}
         assert len(cache) == 1
+        assert not [p for p in tmp_path.rglob("*") if ".tmp" in p.name]
 
     def test_corrupt_entry_reads_as_miss(self, tmp_path):
         cache = ResultCache(tmp_path)

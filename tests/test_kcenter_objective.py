@@ -1,13 +1,37 @@
 """Tests for the k-center result container and objective evaluation."""
 
+import numpy as np
 import pytest
 
+from repro.baselines import kcenter_samp, kcenter_tour2
 from repro.exceptions import ClusteringError, InvalidParameterError
+from repro.incremental.kcenter import IncrementalGreedyKCenter
+from repro.incremental.view import MutableSpaceView
+from repro.kcenter import greedy_kcenter_exact, kcenter_adversarial, kcenter_probabilistic
 from repro.kcenter.objective import (
     ClusteringResult,
     kcenter_objective,
     kcenter_objective_for_centers,
 )
+from repro.oracles import DistanceQuadrupletOracle, ExactNoise, QueryCounter
+
+#: Every public entry point that takes a cluster count, as ``run(space, k)``.
+K_ENTRY_POINTS = {
+    "greedy_kcenter_exact": lambda space, k: greedy_kcenter_exact(space, k=k, seed=0),
+    "kcenter_adversarial": lambda space, k: kcenter_adversarial(_exact(space), k=k, seed=0),
+    "kcenter_probabilistic": lambda space, k: kcenter_probabilistic(
+        _exact(space), k=k, min_cluster_size=5, seed=0
+    ),
+    "kcenter_tour2": lambda space, k: kcenter_tour2(_exact(space), k=k, seed=0),
+    "kcenter_samp": lambda space, k: kcenter_samp(_exact(space), k=k, seed=0),
+    "IncrementalGreedyKCenter": lambda space, k: IncrementalGreedyKCenter(
+        MutableSpaceView(space, live=range(len(space))), k=k
+    ).result(),
+}
+
+
+def _exact(space):
+    return DistanceQuadrupletOracle(space, noise=ExactNoise(), counter=QueryCounter())
 
 
 def _simple_result():
@@ -88,3 +112,16 @@ def test_meta_and_queries_default():
     result = _simple_result()
     assert result.n_queries == 0
     assert result.meta == {}
+
+
+@pytest.mark.parametrize("entry", sorted(K_ENTRY_POINTS))
+def test_k_must_be_a_positive_integer(entry, small_points):
+    run = K_ENTRY_POINTS[entry]
+    for bad in (1.5, 2.0, np.float64(2.0), True, "2", None, 0, -1):
+        with pytest.raises(InvalidParameterError, match="k must be"):
+            run(small_points, bad)
+    # NumPy integers are integers: two centres, as for k=2.
+    assert len(run(small_points, np.int64(2)).centers) == 2
+    if entry != "IncrementalGreedyKCenter":  # the maintainer caps k at n_live
+        with pytest.raises(InvalidParameterError, match="between 1 and 15"):
+            run(small_points, len(small_points) + 1)

@@ -94,16 +94,23 @@ class TestExactEquivalence:
     @pytest.mark.parametrize(
         "distance_fn", [euclidean_distance, manhattan_distance], ids=["l2", "l1"]
     )
-    def test_pair_distances_bit_identical(self, distance_fn):
+    def test_pair_distances_bit_identical(self, distance_fn, duplicate_heavy_pairs):
         dense, lazy, disk = _all_spaces(
             distance_fn=distance_fn, block_size=64, max_cached_blocks=4
+        )
+        eager = DiskBlockBackend(
+            dense.points, distance_fn, block_size=64, max_blocks=4,
+            materialize_threshold=1,
         )
         rng = np.random.default_rng(1)
         i = rng.integers(0, len(dense), size=3000)
         j = rng.integers(0, len(dense), size=3000)
-        expected = dense.pair_distances(i, j)
-        assert np.array_equal(expected, lazy.pair_distances(i, j))
-        assert np.array_equal(expected, disk.pair_distances(i, j))
+        for i, j in ((i, j), duplicate_heavy_pairs(len(dense))):
+            expected = dense.pair_distances(i, j)
+            assert np.array_equal(expected, lazy.pair_distances(i, j))
+            assert np.array_equal(expected, disk.pair_distances(i, j))
+            assert np.array_equal(expected, eager.pair_distances(i, j))
+        eager.close()
 
     def test_reloaded_blocks_bit_identical(self):
         points = np.random.default_rng(2).normal(size=(256, 4))
@@ -191,6 +198,31 @@ class TestSeededAlgorithmEquivalence:
             snapshots.append(oracle.counter.snapshot())
         assert winners[0] == winners[1] == winners[2]
         assert snapshots[0] == snapshots[1] == snapshots[2]
+
+    def test_mid_cloud_count_max_spills_nothing(self):
+        # A query record in the middle of the index range is the lo record
+        # of some of its pairs and the hi record of the others, so no batch
+        # has a constant column for the row store to spot.  Each Count-Max
+        # leg still holds one distinct cell per sample record: too few per
+        # block to materialise one.
+        n, q = 60_000, 30_000
+        points = np.random.default_rng(14).uniform(size=(n, 8))
+        others = np.delete(np.arange(n), q)
+        sample = np.random.default_rng(15).choice(others, 512, replace=False).tolist()
+        runs = []
+        for backend in ("lazy", "disk"):
+            space = _space(points, backend)
+            oracle = DistanceQuadrupletOracle(
+                space, noise=ProbabilisticNoise(p=0.1, seed=9), counter=QueryCounter()
+            )
+            view = distance_comparison_view(oracle, query=q)
+            runs.append((count_max(sample, view, seed=3), oracle.counter.charged_queries))
+            stats = space.backend_stats()
+            assert stats["materialized_blocks"] == 0
+            if backend == "disk":
+                assert stats["spills"] == stats["rows_stored"] == 0
+                space._lazy.close()
+        assert runs[0] == runs[1]
 
     def test_greedy_kcenter_identical(self):
         points = np.random.default_rng(6).normal(size=(1500, 4))

@@ -71,12 +71,18 @@ class TestExactEquivalence:
     @pytest.mark.parametrize(
         "distance_fn", [euclidean_distance, manhattan_distance], ids=["l2", "l1"]
     )
-    def test_pair_distances_bit_identical(self, distance_fn):
+    def test_pair_distances_bit_identical(self, distance_fn, duplicate_heavy_pairs):
         dense, lazy = _spaces(distance_fn=distance_fn, block_size=64)
+        eager = LazyBlockBackend(
+            dense.points, distance_fn, block_size=64, materialize_threshold=1
+        )
         rng = np.random.default_rng(1)
         i = rng.integers(0, len(dense), size=3000)
         j = rng.integers(0, len(dense), size=3000)
-        assert np.array_equal(dense.pair_distances(i, j), lazy.pair_distances(i, j))
+        for i, j in ((i, j), duplicate_heavy_pairs(len(dense))):
+            expected = dense.pair_distances(i, j)
+            assert np.array_equal(expected, lazy.pair_distances(i, j))
+            assert np.array_equal(expected, eager.pair_distances(i, j))
 
     def test_pair_distances_identical_after_block_materialization(self):
         dense, lazy = _spaces(n=200, block_size=32, max_cached_blocks=64)
@@ -255,6 +261,43 @@ class TestLazyBlockBackend:
         backend.pair_distances(i, j)
         assert backend.materialized_blocks == 0
         assert backend.direct_pairs == len(i)
+
+    def test_count_max_round_evaluates_each_distinct_cell_once(self):
+        # One anchor against every pair of a sample, as count_scores sends
+        # it: O(q, x, q, y) for x < y.  The anchor sits mid-range, so its
+        # pairs land in both orientations after canonicalisation.
+        n, q, block_size = 512, 257, 16
+        points = np.random.default_rng(12).normal(size=(n, 4))
+        others = np.delete(np.arange(n), q)
+        sample = np.sort(np.random.default_rng(13).choice(others, 96, replace=False))
+        a_pos, b_pos = np.triu_indices(len(sample), k=1)
+        anchor = np.full(len(a_pos), q)
+        requests = []
+
+        def ask(backend):
+            space = PointCloudSpace(points, backend=backend, block_size=block_size)
+            oracle = DistanceQuadrupletOracle(
+                space, noise=ProbabilisticNoise(p=0.1, seed=4), counter=QueryCounter()
+            )
+            if space._lazy is not None:
+                serve = space._lazy.pair_distances
+
+                def spy(i, j):
+                    requests.append(set(zip(i.tolist(), j.tolist())))
+                    return serve(i, j)
+
+                space._lazy.pair_distances = spy
+            return space, oracle.compare_batch(anchor, sample[a_pos], anchor, sample[b_pos])
+
+        _, expected = ask("dense")
+        lazy, answers = ask("lazy")
+        assert np.array_equal(expected, answers)
+        # The oracle sends every pair as (lo, hi), already an upper-block
+        # cell; the two legs of the round hold ~one cell per sample record.
+        distinct = sum(len(cells) for cells in requests)
+        assert len(requests) == 2 and distinct <= 2 * len(sample)
+        assert lazy.backend_stats()["materialized_blocks"] == 0
+        assert lazy.backend_stats()["direct_pairs"] == distinct
 
     def test_materialize_threshold_is_respected(self):
         points = np.random.default_rng(8).normal(size=(64, 3))

@@ -162,6 +162,14 @@ class TestAnswerStore:
         with pytest.raises(InvalidParameterError):
             store.add_votes([1, 2], [True])
 
+    def test_file_path_raises_store_error(self, tmp_path):
+        path = tmp_path / "not-a-store"
+        path.write_text("data\n")
+        for where in (path, path / "inside"):
+            with pytest.raises(StoreError, match="not-a-store"):
+                AnswerStore(where)
+        assert path.read_text() == "data\n"
+
     def test_n_records_mismatch_rejected(self, tmp_path):
         directory = tmp_path / "s"
         with AnswerStore(directory) as store:
