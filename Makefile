@@ -10,9 +10,9 @@ test:
 lint:
 	scripts/ci.sh lint
 
-# Benchmark smoke regressions plus the standing suite: regenerates the
-# BENCH_*.json artifacts (scaling / batch / service / store) at the repo
-# root (mirrors `python -m repro.bench run --quick`).
+# Benchmark gates (pytest benchmarks -k "smoke or batch") plus the sample
+# obs trace; fails if either rewrites a tracked file.  The performance
+# record itself is perfbench: see docs/benchmarks.md.
 bench:
 	scripts/ci.sh bench
 

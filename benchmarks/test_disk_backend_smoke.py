@@ -1,12 +1,11 @@
 """Benchmark smoke: the disk-spill metric backend at beyond-lazy scale.
 
-Runs the scaling-suite workloads (the same functions the standing bench
-cells call) on ``backend="disk"`` and asserts the properties the storage
-layer is accountable for:
+Runs greedy k-center and Count-Max on ``backend="disk"`` and asserts the
+properties the storage layer is accountable for:
 
 * **Reloads happen** — evicted blocks and stored rows must be *reloaded*
-  from the memory-mapped spill files, not recomputed; ``backend_reloads``
-  is the evidence the scaling artifact records.
+  from the memory-mapped spill files, not recomputed; the backend's
+  ``reloads`` counter is the evidence.
 * **Memory stays bounded** — peak traced allocation and resident set stay
   under fixed ceilings that a dense O(n^2) matrix (320 GB at n = 200,000)
   or an unbounded cache could not meet.
@@ -20,10 +19,21 @@ The million-point cells are marked ``slow`` and excluded from the default
 from __future__ import annotations
 
 import tracemalloc
+from typing import Any, Dict
 
 import pytest
 
-from repro.bench.workloads import run_count_max, run_greedy_kcenter
+from repro.kcenter.greedy_exact import greedy_kcenter_exact
+from repro.kcenter.objective import kcenter_objective
+from repro.maximum.count_max import count_max
+from repro.metric.space import PointCloudSpace
+from repro.oracles.base import distance_comparison_view
+from repro.oracles.counting import QueryCounter
+from repro.oracles.quadruplet import DistanceQuadrupletOracle
+from repro.rng import ensure_rng, sample_without_replacement
+
+#: Dimension of the uniform clouds the cells run on.
+DIMENSION = 8
 
 #: Fixed memory ceilings for the n = 200,000 smoke cell.  The workload's
 #: honest footprint is ~50 MB traced / ~120 MB resident; the ceilings leave
@@ -41,6 +51,47 @@ def _vmrss_mb() -> float:
             if line.startswith("VmRSS"):
                 return float(line.split()[1]) / 1024.0
     return 0.0  # pragma: no cover - /proc always has VmRSS on Linux
+
+
+def run_greedy_kcenter(n: int, backend: str, k: int, seed: int) -> Dict[str, Any]:
+    """Greedy k-center plus one objective evaluation on a seeded uniform cloud."""
+    space = PointCloudSpace(
+        ensure_rng(seed).uniform(0.0, 1.0, size=(n, DIMENSION)), backend=backend
+    )
+    result = greedy_kcenter_exact(space, k=k, seed=seed)
+    objective = kcenter_objective(space, result)
+    stats = space.backend_stats()
+    return {
+        "k": result.k,
+        "objective": objective,
+        "backend_reloads": stats.get("reloads", 0),
+        "backend_rows_stored": stats.get("rows_stored", 0),
+        "backend_spill_bytes": stats.get("spill_bytes", 0),
+    }
+
+
+def run_count_max(n: int, backend: str, seed: int) -> Dict[str, Any]:
+    """Count-Max "farthest from record 0" over a seeded record sample.
+
+    The sample holds 256 records, stepping up to 1024 at n >= 500,000 so
+    the million-point cell pushes enough constant-anchor pairs per batch to
+    cross the disk backend's row threshold (the reload path under test).
+    """
+    space = PointCloudSpace(
+        ensure_rng(seed).uniform(0.0, 1.0, size=(n, DIMENSION)), backend=backend
+    )
+    counter = QueryCounter()
+    oracle = DistanceQuadrupletOracle(space, counter=counter, cache_answers=False)
+    view = distance_comparison_view(oracle, query=0)
+    m = min(1024 if n >= 500_000 else 256, n - 1)
+    items = (sample_without_replacement(ensure_rng(seed), n - 1, m) + 1).tolist()
+    winner = count_max(items, view, seed=seed)
+    return {
+        "sample_size": m,
+        "queries": counter.charged_queries,
+        "winner_is_true_farthest": bool(winner == space.farthest_from(0, items)),
+        "backend_reloads": space.backend_stats().get("reloads", 0),
+    }
 
 
 def test_disk_backend_smoke():

@@ -1,9 +1,8 @@
 """Benchmark smoke: incremental maintenance versus full batch recomputes.
 
-Runs the ``incremental`` suite's acceptance cells (the same workload
-functions the standing bench cells call — which are themselves the
-differential-testing drivers, so every number below is backed by a
-bit-identity assertion at every checked step) and asserts the headline
+Plays seeded edit streams through the differential-testing drivers
+(:mod:`repro.incremental.difftest`), so every number below is backed by a
+bit-identity assertion at every checked step, and asserts the headline
 claim: at n = 5000 the amortized per-update cost of the incremental
 k-center maintainer beats a full recompute by >= 10x on the deterministic
 cost ledger.  Deterministic ratios are asserted; wall-clock figures are
@@ -12,11 +11,18 @@ printed so CI logs double as a perf record without flaking on slow runners.
 
 from __future__ import annotations
 
-from repro.bench.workloads import (
-    run_incremental_count_max,
-    run_incremental_kcenter,
-    run_incremental_linkage,
+from repro.incremental.difftest import (
+    difftest_count_max,
+    difftest_kcenter,
+    difftest_linkage,
 )
+from repro.incremental.edits import generate_edit_stream
+
+#: Every stream is 200 balanced edits, checked against a batch recompute
+#: every 25 steps; the metric algorithms run on 8-dimensional records.
+N_OPS = 200
+CHECK_EVERY = 25
+DIMENSION = 8
 
 #: The ISSUE's acceptance bar for the n = 5000 cell, on the deterministic
 #: charged-cost ledger (distance rows / oracle queries, not wall clock).
@@ -24,7 +30,8 @@ MIN_ACCEPTANCE_RATIO = 10.0
 
 
 def test_incremental_kcenter_acceptance_cell():
-    metrics = run_incremental_kcenter(n=5000, mix="balanced", k=8)
+    stream = generate_edit_stream(5000, N_OPS, seed=0, dimension=DIMENSION)
+    metrics = difftest_kcenter(stream, k=8, backend="lazy", check_every=CHECK_EVERY)
     measured = metrics["measured"]
     print(
         "\nincremental_kcenter smoke: "
@@ -42,14 +49,16 @@ def test_incremental_kcenter_acceptance_cell():
 
 
 def test_incremental_count_max_smoke():
-    metrics = run_incremental_count_max(n_initial=150, mix="balanced")
+    stream = generate_edit_stream(150, N_OPS, seed=0)
+    metrics = difftest_count_max(stream, seed=0, noise="hashed", check_every=CHECK_EVERY)
     assert metrics["outputs_identical"]
     assert metrics["inc_charged"] < metrics["batch_charged"]
     assert metrics["cost_ratio"] > MIN_ACCEPTANCE_RATIO
 
 
 def test_incremental_linkage_smoke():
-    metrics = run_incremental_linkage(n_initial=60, mix="balanced")
+    stream = generate_edit_stream(60, N_OPS, seed=0, dimension=DIMENSION)
+    metrics = difftest_linkage(stream, check_every=CHECK_EVERY)
     assert metrics["outputs_identical"]
     assert metrics["inc_evals"] < metrics["batch_evals"]
     assert metrics["cost_ratio"] > MIN_ACCEPTANCE_RATIO

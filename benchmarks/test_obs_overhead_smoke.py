@@ -23,7 +23,6 @@ from __future__ import annotations
 import time
 
 from repro import obs
-from repro.bench.workloads import run_store_scale
 
 MAX_OVERHEAD_FRACTION = 0.02
 CALIBRATION_ITERATIONS = 200_000
@@ -43,18 +42,18 @@ def _disabled_call_cost() -> float:
     return elapsed / (loops * 3)
 
 
-def test_obs_disabled_overhead_under_two_percent():
+def test_obs_disabled_overhead_under_two_percent(store_scale):
     obs.disable()
     per_call = _disabled_call_cost()
 
     # Reference run: the quick store_scale cold cell with obs off.
-    metrics = run_store_scale(n_shards=8, group_commit_ms=5.0, n_queries=6000)
+    metrics = store_scale(n_shards=8, group_commit_ms=5.0, n_queries=6000)
     cold_wall = metrics["measured"]["cold_wall_seconds"]
 
     # Count how many instrumentation events that same cell fires.
     registry, tracer = obs.enable(trace=True, seed=0)
     try:
-        run_store_scale(n_shards=8, group_commit_ms=5.0, n_queries=6000)
+        store_scale(n_shards=8, group_commit_ms=5.0, n_queries=6000)
         n_events = registry.events + len(tracer.events())
     finally:
         obs.disable()
@@ -73,8 +72,8 @@ def test_obs_disabled_overhead_under_two_percent():
     )
 
 
-def test_obs_disabled_leaves_no_registry_behind():
+def test_obs_disabled_leaves_no_registry_behind(store_scale):
     obs.disable()
-    run_store_scale(n_shards=2, group_commit_ms=5.0, n_queries=500)
+    store_scale(n_shards=2, group_commit_ms=5.0, n_queries=500)
     assert obs.get_registry() is None
     assert obs.get_tracer() is None

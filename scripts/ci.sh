@@ -58,6 +58,10 @@ run_lint() {
 }
 
 run_bench() {
+    # Compare the tracked tree before and after, so a developer's own
+    # uncommitted edits do not trip the check.
+    local before
+    before=$(git diff)
     echo "== bench smoke: pytest benchmarks -q -k 'smoke or batch' =="
     # Includes benchmarks/test_store_scale_smoke.py (the sharded warehouse
     # must serve warm strictly faster than the direct oracle and clear the
@@ -74,13 +78,11 @@ run_bench() {
         --metrics --trace-out obs-sample-trace.jsonl >/dev/null
     python -m repro.obs summarize obs-sample-trace.jsonl >/dev/null
     rm -f obs-sample-trace.jsonl
-    echo "== bench suite: python -m repro.bench run --quick =="
-    # Writes BENCH_scaling.json + BENCH_batch.json + BENCH_service.json (the
-    # crowd-service throughput/latency suite) + BENCH_store.json (the answer
-    # warehouse: cross-session dedup cells plus the store_scale raw
-    # throughput cells) + BENCH_incremental.json (incremental maintainers
-    # vs full recomputes, measured by the difftest drivers) at the repo root.
-    python -m repro.bench run --quick
+    echo "== no step rewrote a committed file =="
+    if [[ "$(git diff)" != "$before" ]]; then
+        echo "ERROR: a bench step changed tracked files (see git diff)." >&2
+        exit 1
+    fi
 }
 
 run_docs() {

@@ -15,9 +15,6 @@ Oracle" (Addanki, Galhotra, Saha — PVLDB 14(9), 2021).  The library provides:
 * an experiment engine (:mod:`repro.engine`) that sweeps every experiment
   over seed/parameter grids across worker processes with on-disk result
   caching (``python -m repro.experiments sweep --quick --seeds 4 --jobs 4``),
-* a standing benchmark suite (:mod:`repro.bench`) emitting the repo's
-  machine-readable performance trajectory
-  (``python -m repro.bench run --quick`` writes ``BENCH_*.json``),
 * an asyncio crowd-oracle service (:mod:`repro.service`) that micro-batches
   the queries of many concurrent algorithm sessions onto the batched oracle
   stack, with per-session budgets, simulated crowd latency and backpressure

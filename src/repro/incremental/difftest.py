@@ -16,9 +16,9 @@ with the batch code over the same live set, asserting:
 
 A failed assertion raises
 :class:`~repro.exceptions.DifftestMismatchError`; a clean run returns a
-deterministic report dict that doubles as the metrics of the incremental
-benchmark suite (wall-clock aggregates land under the ``"measured"`` key,
-matching the :mod:`repro.bench` convention).
+deterministic report dict, the figures the incremental benchmark gate
+(``benchmarks/test_incremental_smoke.py``) asserts on; wall-clock
+aggregates land under the ``"measured"`` key.
 
 Noise and bit-identity
 ----------------------
@@ -36,7 +36,7 @@ batch path with the same crowd; the driver rejects it by construction
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.exceptions import DifftestMismatchError, InvalidParameterError
 from repro.hierarchical.exact_linkage import exact_linkage

@@ -37,8 +37,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-import numpy as np
-
 from repro.exceptions import EmptyInputError, InvalidParameterError
 from repro.hierarchical.dendrogram import Dendrogram
 from repro.hierarchical.exact_linkage import _LINKAGES, linkage_merge_loop

@@ -25,7 +25,7 @@ non-persistent noise — could even draw fresh answers.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 

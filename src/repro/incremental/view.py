@@ -117,7 +117,7 @@ class MutableSpaceView(MetricSpace):
         return len(self._live_list)
 
     def stats(self) -> Dict[str, int]:
-        """Deterministic accounting snapshot (cost yardstick for difftest/bench)."""
+        """Deterministic accounting snapshot (the difftest drivers' cost yardstick)."""
         return {
             "n_live": self.n_live,
             "n_inserts": self.n_inserts,

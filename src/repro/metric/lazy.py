@@ -29,8 +29,8 @@ counts once toward the threshold.
 in-memory cache can amortise: evicted blocks and computed rows *spill* to
 memory-mapped :class:`~repro.storage.blockfile.BlockStorage` files and are
 **reloaded instead of recomputed** on re-access, which is what makes
-n = 1,000,000 workloads tractable at flat RSS (the ``scaling`` bench tier
-records the reload counters).
+n = 1,000,000 workloads tractable at flat RSS (the disk-backend benchmark
+gate checks the reload counters).
 
 Results are bit-identical to the dense backend for the broadcastable
 distance functions: blocks, chunks, rows and scalars all reduce over the
@@ -146,7 +146,7 @@ class BlockLRUCache:
         return sum(block.nbytes for block in self._blocks.values())
 
     def stats(self) -> Dict[str, int]:
-        """Plain-dict snapshot of the cache counters (for bench/report rows)."""
+        """Plain-dict snapshot of the cache counters (for report rows)."""
         return {
             "blocks": len(self._blocks),
             "block_size": self.block_size,
@@ -364,7 +364,7 @@ class DiskBlockBackend(LazyBlockBackend):
       constant-record request is served from the stored row.
 
     ``reloads`` counts every serve from a spill file — the
-    reload-not-recompute evidence the scaling bench records.  Spill files
+    reload-not-recompute evidence the disk-backend gate checks.  Spill files
     live in *spill_dir* (a private temp directory by default, removed when
     the backend is garbage-collected).
     """

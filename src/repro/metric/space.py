@@ -268,7 +268,7 @@ class PointCloudSpace(MetricSpace):
         return None if self._lazy is None else self._lazy.cache
 
     def backend_stats(self) -> dict:
-        """Backend counters for bench/report rows (empty for the dense backend)."""
+        """Backend counters for report rows (empty for the dense backend)."""
         return {} if self._lazy is None else self._lazy.stats()
 
     def __len__(self) -> int:

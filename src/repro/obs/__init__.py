@@ -20,7 +20,7 @@ Typical use::
     tracer.dump_jsonl("trace.jsonl", metrics=registry.snapshot())
     obs.disable()
 
-Worker processes (or bench cells wanting an isolated delta) wrap their work
+Worker processes (or any caller wanting an isolated delta) wrap their work
 in :func:`capture`, which swaps in a fresh registry and restores the
 previous one on exit; the captured snapshot is then folded back into the
 parent via :func:`merge_snapshot`.
@@ -171,7 +171,7 @@ def timer(name: str, **labels: Any):
 def capture():
     """Swap in a fresh registry for the duration of the block; yield it.
 
-    Used by engine worker processes (and per-cell bench deltas) to isolate
+    Used by engine worker processes (or any caller wanting a delta) to isolate
     their metrics: the caller snapshots the yielded registry and merges it
     into the parent with :func:`merge_snapshot`.  The previous registry is
     restored on exit regardless of errors.

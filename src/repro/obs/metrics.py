@@ -25,7 +25,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from ..exceptions import InvalidParameterError
 
 # Log-spaced latency buckets (seconds): 10us .. 10s.  Wide enough for both a
-# single fsync and a whole bench cell.
+# single fsync and a whole experiment task.
 DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
     1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4,
     1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2,

@@ -40,7 +40,7 @@ class QueryCounter:
     cached_by_tag: Dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.budget is not None and self.budget < 0:
+        if self.budget is not None and not self.budget >= 0:
             raise InvalidParameterError(f"budget must be non-negative, got {self.budget}")
 
     def record(self, cached: bool = False, tag: Optional[str] = None) -> None:
@@ -231,7 +231,7 @@ class QueryCounter:
 
         Includes the cache hit rate (``hits / total``) overall and per tag:
         over a warehouse-backed oracle these rates *are* the cross-session
-        dedup rates, which is what the store bench reports.
+        dedup rates.
         """
         return {
             "total_queries": self.total_queries,

@@ -134,7 +134,7 @@ class AdversarialNoise(NoiseModel):
         seed: SeedLike = None,
         zero_band: float = 0.0,
     ):
-        if mu < 0:
+        if not mu >= 0:
             raise InvalidParameterError(f"mu must be non-negative, got {mu}")
         self.mu = float(mu)
         self.zero_band = float(zero_band)
@@ -431,25 +431,3 @@ class HashedProbabilisticNoise(NoiseModel):
 
     def __repr__(self) -> str:
         return f"HashedProbabilisticNoise(p={self.p})"
-
-
-def make_noise_model(
-    kind: str,
-    mu: float = 0.0,
-    p: float = 0.0,
-    seed: SeedLike = None,
-    **kwargs,
-) -> NoiseModel:
-    """Factory used by experiment configs: ``kind`` is ``"exact"``, ``"adversarial"``, ``"probabilistic"`` or ``"hashed"``."""
-    if kind == "exact":
-        return ExactNoise()
-    if kind == "adversarial":
-        return AdversarialNoise(mu=mu, seed=seed, **kwargs)
-    if kind == "probabilistic":
-        return ProbabilisticNoise(p=p, seed=seed, **kwargs)
-    if kind == "hashed":
-        return HashedProbabilisticNoise(p=p, seed=seed, **kwargs)
-    raise InvalidParameterError(
-        f"unknown noise kind {kind!r}; expected 'exact', 'adversarial', "
-        "'probabilistic' or 'hashed'"
-    )

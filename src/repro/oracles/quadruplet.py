@@ -18,7 +18,7 @@ from repro.oracles.base import (
     check_index_arrays,
 )
 from repro.oracles.counting import QueryCounter
-from repro.oracles.noise import ExactNoise, NoiseModel, ProbabilisticNoise
+from repro.oracles.noise import ExactNoise, NoiseModel
 from repro.rng import SeedLike, ensure_rng
 
 
@@ -247,12 +247,3 @@ class SameClusterOracle:
             self._persisted[key] = answer
         self.counter.record()
         return self._persisted[key]
-
-
-def make_probabilistic_quadruplet_oracle(
-    space: MetricSpace, p: float, seed: SeedLike = None, counter: Optional[QueryCounter] = None
-) -> DistanceQuadrupletOracle:
-    """Convenience constructor for the common probabilistic-noise configuration."""
-    return DistanceQuadrupletOracle(
-        space, noise=ProbabilisticNoise(p=p, seed=seed), counter=counter
-    )

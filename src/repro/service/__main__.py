@@ -66,12 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(and by successive runs); omit to serve without a store",
     )
     parser.add_argument(
-        "--replication",
-        type=int,
-        default=1,
-        help="votes the warehouse needs before serving a key (default 1 = dedup)",
-    )
-    parser.add_argument(
         "--store-shards",
         type=int,
         default=None,
@@ -119,11 +113,7 @@ async def _run(args) -> int:
     )
     store = None
     if args.store_dir is not None:
-        store = AnswerStore(
-            args.store_dir,
-            replication=args.replication,
-            n_shards=args.store_shards,
-        )
+        store = AnswerStore(args.store_dir, n_shards=args.store_shards)
     try:
         async with CrowdOracleService(
             comparison=backend, config=config, store=store
@@ -167,9 +157,8 @@ async def _run(args) -> int:
         sstats = store.stats()
         print(
             f"store: {sstats['n_keys']} keys / {sstats['n_votes']} votes at "
-            f"{sstats['directory']} (replication {sstats['replication']}, "
-            f"{report['cached_queries']} of {report['n_queries']} queries "
-            "served from the warehouse)"
+            f"{sstats['directory']} ({report['cached_queries']} of "
+            f"{report['n_queries']} queries served from the warehouse)"
         )
     print(f"backend: {backend.counter.summary()}")
     if tracer is not None:

@@ -112,7 +112,7 @@ class ServiceConfig:
     seed: SeedLike = None
 
     def __post_init__(self):
-        if self.batch_window < 0:
+        if not self.batch_window >= 0:
             raise InvalidParameterError(
                 f"batch_window must be non-negative, got {self.batch_window}"
             )
@@ -128,7 +128,7 @@ class ServiceConfig:
             raise InvalidParameterError(
                 f"max_inflight must be at least 1, got {self.max_inflight}"
             )
-        if self.latency < 0 or self.jitter < 0:
+        if not (self.latency >= 0 and self.jitter >= 0):
             raise InvalidParameterError("latency and jitter must be non-negative")
 
 

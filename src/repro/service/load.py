@@ -1,7 +1,7 @@
 """Load driver: many concurrent sessions hammering one service.
 
-Shared by the ``python -m repro.service`` demo CLI and the
-``BENCH_service.json`` benchmark workload.  Each simulated session is an
+Shared by the ``python -m repro.service`` demo CLI and the service and
+warehouse tests.  Each simulated session is an
 asyncio task that issues one comparison query at a time — the
 algorithm-shaped access pattern: submit, await the answer, decide the next
 query — so the only way the service achieves throughput beyond

@@ -306,7 +306,7 @@ class BlockStorage:
     # -- lifecycle / observability --------------------------------------------
 
     def stats(self) -> Dict[str, Any]:
-        """Plain-dict snapshot for bench rows and ``store stats``-style CLIs."""
+        """Plain-dict snapshot for report rows and ``store stats``-style CLIs."""
         return {
             "slot_size": self.slot_size,
             "n_slots": self.n_slots,

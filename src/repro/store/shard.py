@@ -77,7 +77,7 @@ class GroupCommitPolicy:
     def __post_init__(self):
         if self.mode not in ("group", "always", "none"):
             raise ValueError(f"sync mode must be group|always|none, got {self.mode!r}")
-        if self.window < 0:
+        if not self.window >= 0:
             raise ValueError(f"group-commit window must be non-negative, got {self.window}")
 
 

@@ -256,23 +256,3 @@ class TestCliRoundTrips:
         assert "repro_store_open_seconds_count 1" in capsys.readouterr().out
         summary = summarize_trace(trace)
         assert {row["key"] for row in summary["subsystems"]} == {"store"}
-
-    def test_bench_obs_flag_attaches_snapshots(self, tmp_path, capsys):
-        from repro.bench.__main__ import main as bench_main
-        from repro.bench.report import read_bench_report
-
-        code = bench_main(
-            [
-                "run",
-                "--suite", "store",
-                "--quick",
-                "--quiet",
-                "--obs",
-                "--out-dir", str(tmp_path),
-            ]
-        )
-        assert code == 0
-        payload = read_bench_report(tmp_path / "BENCH_store.json")
-        assert "obs" in payload  # suite-level aggregated registry
-        assert any("obs" in row for row in payload["cells"])
-        assert "git_sha" in payload

@@ -42,6 +42,8 @@ def test_budget_ignores_cached_queries_by_default():
 def test_negative_budget_rejected():
     with pytest.raises(InvalidParameterError):
         QueryCounter(budget=-1)
+    with pytest.raises(InvalidParameterError):
+        QueryCounter(budget=float("nan"))
 
 
 def test_remaining_budget():

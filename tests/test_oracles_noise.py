@@ -7,7 +7,6 @@ from repro.oracles.noise import (
     AdversarialNoise,
     ExactNoise,
     ProbabilisticNoise,
-    make_noise_model,
 )
 
 
@@ -77,6 +76,8 @@ class TestAdversarialNoise:
         with pytest.raises(InvalidParameterError):
             AdversarialNoise(mu=-0.1)
         with pytest.raises(InvalidParameterError):
+            AdversarialNoise(mu=float("nan"))
+        with pytest.raises(InvalidParameterError):
             AdversarialNoise(mu=0.5, adversary="bogus")
         with pytest.raises(InvalidParameterError):
             AdversarialNoise(mu=0.5, adversary=3)
@@ -119,25 +120,6 @@ class TestProbabilisticNoise:
         for bad in (-0.1, 0.5, 0.9):
             with pytest.raises(InvalidParameterError):
                 ProbabilisticNoise(p=bad)
-
-
-class TestFactory:
-    def test_exact(self):
-        assert isinstance(make_noise_model("exact"), ExactNoise)
-
-    def test_adversarial(self):
-        model = make_noise_model("adversarial", mu=0.7)
-        assert isinstance(model, AdversarialNoise)
-        assert model.mu == 0.7
-
-    def test_probabilistic(self):
-        model = make_noise_model("probabilistic", p=0.2, seed=0)
-        assert isinstance(model, ProbabilisticNoise)
-        assert model.p == 0.2
-
-    def test_unknown_kind(self):
-        with pytest.raises(InvalidParameterError):
-            make_noise_model("gaussian")
 
 
 class TestAnswerBatchValidation:

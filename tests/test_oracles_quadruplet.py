@@ -11,7 +11,6 @@ from repro.oracles import (
     QueryCounter,
     SameClusterOracle,
 )
-from repro.oracles.quadruplet import make_probabilistic_quadruplet_oracle
 
 
 class TestDistanceQuadrupletOracle:
@@ -81,11 +80,6 @@ class TestDistanceQuadrupletOracle:
 
     def test_len_matches_space(self, exact_quadruplet_oracle, small_points):
         assert len(exact_quadruplet_oracle) == len(small_points)
-
-    def test_convenience_constructor(self, small_points):
-        oracle = make_probabilistic_quadruplet_oracle(small_points, p=0.1, seed=0)
-        assert isinstance(oracle.noise, ProbabilisticNoise)
-        assert oracle.noise.p == 0.1
 
 
 class TestSameClusterOracle:

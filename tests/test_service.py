@@ -67,6 +67,9 @@ class TestServiceConfig:
             {"max_inflight": 0},
             {"latency": -1.0},
             {"jitter": -0.5},
+            {"batch_window": float("nan")},
+            {"latency": float("nan")},
+            {"jitter": float("nan")},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -397,18 +400,21 @@ class TestSyncAdapters:
 
 class TestLoadDriverAndCli:
     def test_load_driver_reports_deterministic_counts(self):
-        async def scenario():
+        async def scenario(config):
             backend = ValueComparisonOracle(_values(100, seed=1), noise=ExactNoise())
-            config = ServiceConfig(batch_window=0.002, latency=0.001)
             async with CrowdOracleService(comparison=backend, config=config) as service:
                 return await run_comparison_load(
                     service, n_sessions=4, queries_per_session=10, n_records=100, seed=3
                 )
 
-        first = run_async(scenario())
-        second = run_async(scenario())
+        batched = ServiceConfig(batch_window=0.002, latency=0.001)
+        first = run_async(scenario(batched))
+        second = run_async(scenario(batched))
         assert first["n_queries"] == 40
         assert first["yes_answers"] == second["yes_answers"]
+        # One query per round trip answers the same seeded load identically.
+        unbatched = ServiceConfig(batch_window=0.0, max_batch_size=1, latency=0.001)
+        assert run_async(scenario(unbatched))["yes_answers"] == first["yes_answers"]
         assert first["measured"]["throughput_qps"] > 0
         assert first["measured"]["latency_p95_ms"] >= first["measured"]["latency_p50_ms"]
 

@@ -578,6 +578,8 @@ class TestShardedLayout:
             AnswerStore(tmp_path / "b", sync="sometimes")
         with pytest.raises(InvalidParameterError):
             AnswerStore(tmp_path / "c", group_commit_window=-1.0)
+        with pytest.raises(InvalidParameterError):
+            AnswerStore(tmp_path / "d", group_commit_window=float("nan"))
 
 
 class TestGroupCommit:
