@@ -39,7 +39,7 @@ def test_ablation_maxadv_repetitions(benchmark):
                     200, confusion_fraction=0.02, mu=mu, seed=100 * t + trial
                 )
                 oracle = ValueComparisonOracle(
-                    space, noise=AdversarialNoise(mu=mu, adversary="lie")
+                    space, noise=AdversarialNoise(mu=mu)
                 )
                 winner = max_adversarial(
                     list(range(200)), oracle, n_iterations=t, seed=trial
@@ -65,7 +65,7 @@ def test_ablation_tournament_degree(benchmark):
         out = {}
         for degree in (2, 3, 9, 243):
             oracle = ValueComparisonOracle(
-                values, noise=AdversarialNoise(mu=mu, adversary="lie"), cache_answers=False
+                values, noise=AdversarialNoise(mu=mu), cache_answers=False
             )
             winner = tournament_max(list(range(243)), oracle, degree=degree, seed=0)
             out[degree] = {
@@ -158,7 +158,7 @@ def test_ablation_count_max_sample_size(benchmark):
         out = {}
         for sample_size in (5, 20, 80, 400):
             oracle = ValueComparisonOracle(
-                values, noise=AdversarialNoise(mu=0.5, adversary="lie")
+                values, noise=AdversarialNoise(mu=0.5)
             )
             rng = np.random.default_rng(0)
             sample = list(rng.choice(400, size=sample_size, replace=False))

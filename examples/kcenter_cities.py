@@ -48,7 +48,11 @@ def run_panel(space, noise_kind: str, level: float) -> None:
 
         def fresh_oracle():
             if noise_kind == "adversarial":
-                noise = AdversarialNoise(mu=level, seed=int(rng.integers(0, 2**31)))
+                # The adversary draws nothing; taking one draw per oracle
+                # anyway, as the probabilistic branch does, keeps the later
+                # first_center picks on the same stream in both panels.
+                rng.integers(0, 2**31)
+                noise = AdversarialNoise(mu=level)
             else:
                 noise = ProbabilisticNoise(p=level, seed=int(rng.integers(0, 2**31)))
             return DistanceQuadrupletOracle(space, noise=noise, counter=QueryCounter())

@@ -40,8 +40,7 @@ def finding_maximum_under_adversarial_noise() -> None:
     values = make_skewed_values(500, seed=SEED).values
     mu = 1.0
     oracle = ValueComparisonOracle(
-        values, noise=AdversarialNoise(mu=mu, adversary="lie", seed=SEED),
-        counter=QueryCounter(),
+        values, noise=AdversarialNoise(mu=mu), counter=QueryCounter()
     )
     items = list(range(len(values)))
 
@@ -94,7 +93,7 @@ def farthest_neighbour_with_a_quadruplet_oracle() -> None:
     print("=" * 72)
     space = make_uniform_space(400, dimension=2, seed=SEED)
     oracle = DistanceQuadrupletOracle(
-        space, noise=AdversarialNoise(mu=0.5, seed=SEED), counter=QueryCounter()
+        space, noise=AdversarialNoise(mu=0.5), counter=QueryCounter()
     )
     query = 0
     robust = farthest_adversarial(oracle, query=query, delta=0.05, seed=SEED)

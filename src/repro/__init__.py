@@ -28,7 +28,7 @@ Quickstart
 >>> from repro import datasets, oracles, kcenter
 >>> space = datasets.load_dataset("cities", n_points=200, seed=0)
 >>> oracle = oracles.DistanceQuadrupletOracle(
-...     space, noise=oracles.AdversarialNoise(mu=0.5, seed=0))
+...     space, noise=oracles.AdversarialNoise(mu=0.5))
 >>> result = kcenter.kcenter_adversarial(oracle, k=5, seed=0)
 >>> len(result.centers)
 5

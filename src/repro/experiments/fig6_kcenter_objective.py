@@ -40,7 +40,7 @@ DEFAULT_K_VALUES = (5, 10, 20, 40)
 
 def _make_oracle(space, noise_kind: str, level: float, seed) -> DistanceQuadrupletOracle:
     if noise_kind == "adversarial":
-        noise = AdversarialNoise(mu=level, seed=seed)
+        noise = AdversarialNoise(mu=level)
     else:
         noise = ProbabilisticNoise(p=level, seed=seed)
     return DistanceQuadrupletOracle(space, noise=noise, counter=QueryCounter())

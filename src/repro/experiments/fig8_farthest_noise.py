@@ -38,7 +38,7 @@ def _make_oracle(space, noise_kind: str, level: float, seed) -> DistanceQuadrupl
     if level == 0.0:
         noise = ExactNoise()
     elif noise_kind == "adversarial":
-        noise = AdversarialNoise(mu=level, seed=seed)
+        noise = AdversarialNoise(mu=level)
     else:
         noise = ProbabilisticNoise(p=level, seed=seed)
     return DistanceQuadrupletOracle(space, noise=noise, counter=QueryCounter())

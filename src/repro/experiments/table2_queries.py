@@ -94,7 +94,7 @@ def run(
     def fresh_oracle() -> DistanceQuadrupletOracle:
         return DistanceQuadrupletOracle(
             space,
-            noise=AdversarialNoise(mu=mu, seed=rng.integers(0, 2**31)),
+            noise=AdversarialNoise(mu=mu),
             counter=QueryCounter(),
         )
 

@@ -67,7 +67,7 @@ def _make_order_free_noise(
     if kind == "exact":
         return ExactNoise()
     if kind == "lie":
-        return AdversarialNoise(mu=mu, adversary="lie")
+        return AdversarialNoise(mu=mu)
     if kind == "hashed":
         return HashedProbabilisticNoise(p=p, seed=seed)
     raise InvalidParameterError(

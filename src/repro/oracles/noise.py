@@ -6,9 +6,8 @@ quantities ``left`` and ``right``, whether the oracle answers Yes
 
 * :class:`ExactNoise` — always correct (``mu = 0`` / ``p = 0``).
 * :class:`AdversarialNoise` — correct whenever the two quantities differ by
-  more than a ``(1 + mu)`` multiplicative factor; inside that band the answer
-  is produced by a configurable adversary (worst-case "always lie" by
-  default).
+  more than a ``(1 + mu)`` multiplicative factor; inside that band the
+  adversary always lies (the worst case).
 * :class:`ProbabilisticNoise` — each *distinct* query is flipped with
   probability ``p`` and the (possibly wrong) answer persists: repeating the
   query returns the same answer.
@@ -20,7 +19,7 @@ consistent answers.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Optional, Sequence
+from typing import Dict, Hashable, Optional, Sequence
 
 import numpy as np
 
@@ -112,42 +111,23 @@ class ExactNoise(NoiseModel):
 class AdversarialNoise(NoiseModel):
     """Adversarial noise within a multiplicative ``(1 + mu)`` confusion band.
 
-    When ``max(left, right) / min(left, right) <= 1 + mu`` the answer may be
-    adversarially wrong; otherwise it is correct.  The adversary strategy is
-    configurable:
-
-    * ``"lie"`` (default) — always return the wrong answer inside the band,
-      the worst case the paper's guarantees are proved against.
-    * ``"random"`` — flip a fair coin inside the band (persisted per query).
-    * a callable ``(left, right, key) -> bool`` — custom adversary; its return
-      value is used verbatim as the oracle answer inside the band.
+    When ``max(left, right) / min(left, right) <= 1 + mu`` the adversary
+    answers wrongly — the worst case the paper's guarantees are proved
+    against; otherwise the answer is correct.  The model is deterministic:
+    it keeps no state and draws nothing.
 
     Zero distances are treated as confusable with every other value that is
     also within an additive ``zero_band`` of zero (two identical points are
     always confusable with each other).
     """
 
-    def __init__(
-        self,
-        mu: float,
-        adversary: str | Callable[[float, float, Hashable], bool] = "lie",
-        seed: SeedLike = None,
-        zero_band: float = 0.0,
-    ):
+    def __init__(self, mu: float, zero_band: float = 0.0):
         if not mu >= 0:
             raise InvalidParameterError(f"mu must be non-negative, got {mu}")
+        if not zero_band >= 0:
+            raise InvalidParameterError(f"zero_band must be non-negative, got {zero_band}")
         self.mu = float(mu)
         self.zero_band = float(zero_band)
-        self._rng = ensure_rng(seed)
-        self._persisted: Dict[Hashable, bool] = {}
-        if isinstance(adversary, str):
-            if adversary not in ("lie", "random"):
-                raise InvalidParameterError(
-                    f"adversary must be 'lie', 'random' or a callable, got {adversary!r}"
-                )
-        elif not callable(adversary):
-            raise InvalidParameterError("adversary must be a string or a callable")
-        self.adversary = adversary
 
     def in_confusion_band(self, left: float, right: float) -> bool:
         """True when the adversary is allowed to answer this query arbitrarily."""
@@ -159,23 +139,10 @@ class AdversarialNoise(NoiseModel):
         return hi / lo <= 1.0 + self.mu
 
     def answer(self, left: float, right: float, key: Hashable) -> bool:
-        if not self.in_confusion_band(left, right):
-            return self._true_answer(left, right)
-        if callable(self.adversary):
-            return bool(self.adversary(left, right, key))
-        if self.adversary == "lie":
-            return not self._true_answer(left, right)
-        # "random": persist the coin flip so repeated queries are consistent.
-        if key not in self._persisted:
-            self._persisted[key] = bool(self._rng.random() < 0.5)
-        return self._persisted[key]
+        truth = self._true_answer(left, right)
+        return (not truth) if self.in_confusion_band(left, right) else truth
 
     def answer_batch(self, left, right, keys) -> np.ndarray:
-        # Only the deterministic "lie" adversary vectorises; the "random" and
-        # callable adversaries keep per-query state / arbitrary code and fall
-        # back to the scalar loop, preserving draw order.
-        if self.adversary != "lie":
-            return super().answer_batch(left, right, keys)
         left, right = _check_batch_lengths(left, right, keys)
         lo = np.minimum(left, right)
         hi = np.maximum(left, right)
@@ -190,12 +157,8 @@ class AdversarialNoise(NoiseModel):
         truth = left <= right
         return np.where(in_band, ~truth, truth)
 
-    def reset(self) -> None:
-        self._persisted.clear()
-
     def __repr__(self) -> str:
-        name = self.adversary if isinstance(self.adversary, str) else "custom"
-        return f"AdversarialNoise(mu={self.mu}, adversary={name!r})"
+        return f"AdversarialNoise(mu={self.mu})"
 
 
 class ProbabilisticNoise(NoiseModel):
@@ -212,17 +175,12 @@ class ProbabilisticNoise(NoiseModel):
         Error probability, must satisfy ``0 <= p < 0.5``.
     seed:
         Seed for the flip decisions.
-    persistent:
-        When false, every call re-flips independently.  This departs from the
-        paper's model and exists only so experiments can contrast persistent
-        and independent errors.
     """
 
-    def __init__(self, p: float, seed: SeedLike = None, persistent: bool = True):
+    def __init__(self, p: float, seed: SeedLike = None):
         if not 0.0 <= p < 0.5:
             raise InvalidParameterError(f"p must be in [0, 0.5), got {p}")
         self.p = float(p)
-        self.persistent = bool(persistent)
         self._rng = ensure_rng(seed)
         self._persisted: Dict[Hashable, bool] = {}
         # Large batches persist their drawn answers in sorted parallel arrays
@@ -247,9 +205,6 @@ class ProbabilisticNoise(NoiseModel):
 
     def answer(self, left: float, right: float, key: Hashable) -> bool:
         truth = self._true_answer(left, right)
-        if not self.persistent:
-            flip = bool(self._rng.random() < self.p)
-            return truth ^ flip
         if key in self._persisted:
             return self._persisted[key]
         if isinstance(key, (int, np.integer)):
@@ -264,9 +219,6 @@ class ProbabilisticNoise(NoiseModel):
         left, right = _check_batch_lengths(left, right, keys)
         truth = left <= right
         m = len(truth)
-        if not self.persistent:
-            flips = self._rng.random(m) < self.p
-            return truth ^ flips
         # Unseen keys draw their flip in first-occurrence order, consuming
         # the generator stream exactly as the scalar loop would (one uniform
         # per new key); repeats — earlier calls or within this batch — reuse
@@ -357,7 +309,7 @@ class ProbabilisticNoise(NoiseModel):
         return len(self._persisted) + n_batch
 
     def __repr__(self) -> str:
-        return f"ProbabilisticNoise(p={self.p}, persistent={self.persistent})"
+        return f"ProbabilisticNoise(p={self.p})"
 
 
 class HashedProbabilisticNoise(NoiseModel):

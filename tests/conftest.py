@@ -62,7 +62,7 @@ def exact_quadruplet_oracle(small_points):
 @pytest.fixture
 def adversarial_quadruplet_oracle(small_points):
     return DistanceQuadrupletOracle(
-        small_points, noise=AdversarialNoise(mu=0.5, seed=0), counter=QueryCounter()
+        small_points, noise=AdversarialNoise(mu=0.5), counter=QueryCounter()
     )
 
 

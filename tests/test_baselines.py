@@ -88,15 +88,15 @@ class TestKCenterSamp:
         from repro.kcenter import kcenter_adversarial
 
         space = make_cities(n_points=150, outlier_fraction=0.02, seed=0)
-        noise = AdversarialNoise(mu=0.5, seed=0)
+        noise = AdversarialNoise(mu=0.5)
         ours = kcenter_adversarial(
-            DistanceQuadrupletOracle(space, noise=AdversarialNoise(mu=0.5, seed=0)),
+            DistanceQuadrupletOracle(space, noise=AdversarialNoise(mu=0.5)),
             k=4,
             first_center=0,
             seed=0,
         )
         samp = kcenter_samp(
-            DistanceQuadrupletOracle(space, noise=AdversarialNoise(mu=0.5, seed=0)),
+            DistanceQuadrupletOracle(space, noise=AdversarialNoise(mu=0.5)),
             k=4,
             first_center=0,
             sample_size=8,

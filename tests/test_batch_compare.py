@@ -38,7 +38,6 @@ NOISE_FACTORIES = {
     "exact": lambda: ExactNoise(),
     "probabilistic": lambda: ProbabilisticNoise(p=0.25, seed=99),
     "adversarial_lie": lambda: AdversarialNoise(mu=0.5),
-    "adversarial_random": lambda: AdversarialNoise(mu=0.5, adversary="random", seed=4),
 }
 
 

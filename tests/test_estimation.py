@@ -34,7 +34,7 @@ def test_exact_oracle_detected(blob_space):
 def test_adversarial_oracle_detected_with_reasonable_mu(blob_space):
     true_mu = 0.5
     oracle = DistanceQuadrupletOracle(
-        blob_space, noise=AdversarialNoise(mu=true_mu, adversary="lie", seed=0)
+        blob_space, noise=AdversarialNoise(mu=true_mu)
     )
     estimate = estimate_noise(oracle, blob_space, n_queries=800, seed=1)
     assert estimate.model == "adversarial"
@@ -56,7 +56,7 @@ def test_probabilistic_oracle_detected_with_reasonable_p(blob_space):
 
 def test_estimate_mu_and_p_wrappers(blob_space):
     adversarial = DistanceQuadrupletOracle(
-        blob_space, noise=AdversarialNoise(mu=0.4, seed=0)
+        blob_space, noise=AdversarialNoise(mu=0.4)
     )
     probabilistic = DistanceQuadrupletOracle(
         blob_space, noise=ProbabilisticNoise(p=0.2, seed=0)
@@ -69,7 +69,7 @@ def test_estimate_mu_and_p_wrappers(blob_space):
 
 def test_accuracy_curve_shape_for_adversarial(blob_space):
     oracle = DistanceQuadrupletOracle(
-        blob_space, noise=AdversarialNoise(mu=0.5, adversary="lie", seed=0)
+        blob_space, noise=AdversarialNoise(mu=0.5)
     )
     estimate = estimate_noise(oracle, blob_space, n_queries=800, seed=3)
     accs = np.asarray(estimate.accuracies)

@@ -99,7 +99,7 @@ class TestNoisyLinkage:
         """Theorem 5.2 shape: merges stay within a constant factor of optimal."""
         space = _line_space()
         mu = 0.3
-        oracle = DistanceQuadrupletOracle(space, noise=AdversarialNoise(mu=mu, seed=0))
+        oracle = DistanceQuadrupletOracle(space, noise=AdversarialNoise(mu=mu))
         noisy = noisy_linkage(oracle, space=space, seed=0)
         exact = exact_linkage(space)
         avg_noisy = average_merge_distance(noisy, space)

@@ -16,7 +16,7 @@ class TestDataSummarizationPipeline:
         )
         counter = oracles.QueryCounter()
         oracle = oracles.DistanceQuadrupletOracle(
-            space, noise=oracles.AdversarialNoise(mu=0.4, seed=0), counter=counter
+            space, noise=oracles.AdversarialNoise(mu=0.4), counter=counter
         )
         k = len(set(space.labels.tolist()))
         result = kcenter.kcenter_adversarial(oracle, k=k, seed=0)
@@ -68,7 +68,7 @@ class TestNeighborPipeline:
     def test_farthest_and_nearest_consistent_with_ground_truth(self):
         space = datasets.load_dataset("cities", n_points=150, seed=2)
         oracle = oracles.DistanceQuadrupletOracle(
-            space, noise=oracles.AdversarialNoise(mu=0.5, seed=2)
+            space, noise=oracles.AdversarialNoise(mu=0.5)
         )
         query = 10
         far = neighbors.farthest_adversarial(oracle, query, seed=0)
@@ -91,7 +91,7 @@ class TestHierarchicalPipeline:
             30, 3, cluster_std=0.2, center_spread=25.0, seed=7
         )
         oracle = oracles.DistanceQuadrupletOracle(
-            space, noise=oracles.AdversarialNoise(mu=0.3, seed=7)
+            space, noise=oracles.AdversarialNoise(mu=0.3)
         )
         den = hierarchical.noisy_linkage(oracle, space=space, seed=0)
         labels = den.cut(3)

@@ -13,7 +13,7 @@ from repro.oracles import (
 
 
 def _oracle(space, mu=0.0, seed=0):
-    noise = ExactNoise() if mu == 0.0 else AdversarialNoise(mu=mu, seed=seed)
+    noise = ExactNoise() if mu == 0.0 else AdversarialNoise(mu=mu)
     return DistanceQuadrupletOracle(space, noise=noise, counter=QueryCounter())
 
 

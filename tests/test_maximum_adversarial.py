@@ -66,7 +66,7 @@ class TestMaxAdversarial:
         for trial in range(trials):
             values = rng.uniform(1.0, 200.0, size=100)
             oracle = ValueComparisonOracle(
-                values, noise=AdversarialNoise(mu=mu, adversary="lie")
+                values, noise=AdversarialNoise(mu=mu)
             )
             winner = max_adversarial(list(range(100)), oracle, delta=0.05, seed=trial)
             if values[winner] < values.max() / (1 + mu) ** 3 - 1e-9:
@@ -81,7 +81,7 @@ class TestMaxAdversarial:
         for n in (64, 256):
             values = np.random.default_rng(n).uniform(1, 100, size=n)
             oracle = ValueComparisonOracle(
-                values, noise=AdversarialNoise(mu=mu, adversary="lie"), cache_answers=False
+                values, noise=AdversarialNoise(mu=mu), cache_answers=False
             )
             max_adversarial(list(range(n)), oracle, delta=0.2, seed=0)
             counts[n] = oracle.counter.total_queries
@@ -92,7 +92,7 @@ class TestMaxAdversarial:
 
     def test_seeded_runs_reproducible(self):
         values = np.random.default_rng(3).uniform(0, 10, size=50)
-        oracle = ValueComparisonOracle(values, noise=AdversarialNoise(mu=1.0, seed=0))
+        oracle = ValueComparisonOracle(values, noise=AdversarialNoise(mu=1.0))
         a = max_adversarial(list(range(50)), oracle, seed=9)
         b = max_adversarial(list(range(50)), oracle, seed=9)
         assert a == b

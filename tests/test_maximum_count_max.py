@@ -63,7 +63,7 @@ def test_count_max_paper_example_3_2():
     returns either u or v, a ~3.96-approximation, never anything worse.
     """
     values = [51.0, 101.0, 102.0, 202.0]  # u, v, w, t
-    oracle = ValueComparisonOracle(values, noise=AdversarialNoise(mu=1.0, adversary="lie"))
+    oracle = ValueComparisonOracle(values, noise=AdversarialNoise(mu=1.0))
     scores = count_scores([0, 1, 2, 3], oracle)
     assert scores[0] == 2 and scores[1] == 2
     assert scores[2] == 1 and scores[3] == 1
@@ -78,7 +78,7 @@ def test_count_max_approximation_guarantee_lemma_3_1():
     for trial in range(10):
         values = rng.uniform(1.0, 100.0, size=25)
         oracle = ValueComparisonOracle(
-            values, noise=AdversarialNoise(mu=mu, adversary="lie")
+            values, noise=AdversarialNoise(mu=mu)
         )
         winner = count_max(list(range(25)), oracle, seed=trial)
         assert values[winner] >= values.max() / (1 + mu) ** 2 - 1e-9
@@ -86,7 +86,7 @@ def test_count_max_approximation_guarantee_lemma_3_1():
 
 def test_count_max_tie_breaking_is_seeded(small_values):
     values = [1.0, 1.0, 1.0]
-    oracle = ValueComparisonOracle(values, noise=AdversarialNoise(mu=0.0, adversary="lie"))
+    oracle = ValueComparisonOracle(values, noise=AdversarialNoise(mu=0.0))
     a = count_max([0, 1, 2], oracle, seed=5)
     b = count_max([0, 1, 2], oracle, seed=5)
     assert a == b

@@ -29,7 +29,7 @@ class TestNaive:
         """Section 3.1 negative example: a geometric chain makes the naive scan miss the maximum."""
         mu = 0.5
         values = [(1 + mu - 0.01) ** i for i in range(20)]
-        oracle = ValueComparisonOracle(values, noise=AdversarialNoise(mu=mu, adversary="lie"))
+        oracle = ValueComparisonOracle(values, noise=AdversarialNoise(mu=mu))
         winner = naive_max(list(range(20)), oracle)
         # The lying adversary blocks the final comparison (ratio within 1 + mu),
         # so the scan never reaches the true maximum at index 19.
@@ -68,7 +68,7 @@ class TestTournament:
 
     def test_seeded_runs_are_reproducible(self, small_values):
         oracle = ValueComparisonOracle(
-            small_values, noise=AdversarialNoise(mu=1.0, adversary="lie")
+            small_values, noise=AdversarialNoise(mu=1.0)
         )
         a = tournament_max(list(range(len(small_values))), oracle, seed=11)
         b = tournament_max(list(range(len(small_values))), oracle, seed=11)
@@ -79,7 +79,7 @@ class TestTournament:
         rng = np.random.default_rng(1)
         mu = 0.2
         values = rng.uniform(1.0, 50.0, size=27)
-        oracle = ValueComparisonOracle(values, noise=AdversarialNoise(mu=mu, adversary="lie"))
+        oracle = ValueComparisonOracle(values, noise=AdversarialNoise(mu=mu))
         winner = tournament_max(list(range(27)), oracle, degree=3, seed=0)
         levels = 3  # log_3 27
         assert values[winner] >= values.max() / (1 + mu) ** (2 * levels) - 1e-9

@@ -54,7 +54,7 @@ class TestAdversarialNeighbors:
         failures = 0
         for trial in range(6):
             oracle = DistanceQuadrupletOracle(
-                blob_space, noise=AdversarialNoise(mu=mu, seed=trial)
+                blob_space, noise=AdversarialNoise(mu=mu)
             )
             far = farthest_adversarial(oracle, query=0, delta=0.05, seed=trial)
             optimum = blob_space.distance(0, exact_farthest(blob_space, 0))
@@ -64,7 +64,7 @@ class TestAdversarialNeighbors:
 
     def test_nearest_adversarial_guarantee(self, blob_space):
         mu = 0.5
-        oracle = DistanceQuadrupletOracle(blob_space, noise=AdversarialNoise(mu=mu, seed=0))
+        oracle = DistanceQuadrupletOracle(blob_space, noise=AdversarialNoise(mu=mu))
         near = nearest_adversarial(oracle, query=0, delta=0.05, seed=0)
         optimum = blob_space.distance(0, exact_nearest(blob_space, 0))
         assert blob_space.distance(0, near) <= optimum * (1 + mu) ** 3 + 1e-9

@@ -52,14 +52,14 @@ def test_tournament_exact_oracle_finds_maximum(values, degree):
 
 @given(values=st.lists(finite_floats, min_size=3, max_size=40), mu=st.floats(0.0, 1.5))
 def test_count_max_respects_lemma_3_1_bound(values, mu):
-    oracle = ValueComparisonOracle(values, noise=AdversarialNoise(mu=mu, adversary="lie"))
+    oracle = ValueComparisonOracle(values, noise=AdversarialNoise(mu=mu))
     winner = count_max(list(range(len(values))), oracle, seed=0)
     assert values[winner] >= max(values) / (1 + mu) ** 2 - 1e-9
 
 
 @given(values=st.lists(finite_floats, min_size=3, max_size=60), mu=st.floats(0.0, 1.0))
 def test_max_adversarial_never_returns_item_outside_input(values, mu):
-    oracle = ValueComparisonOracle(values, noise=AdversarialNoise(mu=mu, adversary="lie"))
+    oracle = ValueComparisonOracle(values, noise=AdversarialNoise(mu=mu))
     items = list(range(len(values)))
     winner = max_adversarial(items, oracle, seed=0)
     assert winner in items

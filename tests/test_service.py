@@ -339,11 +339,11 @@ class TestSyncAdapters:
 
         direct = run(
             DistanceQuadrupletOracle(
-                space, noise=AdversarialNoise(mu=0.3, seed=2), counter=QueryCounter()
+                space, noise=AdversarialNoise(mu=0.3), counter=QueryCounter()
             )
         )
         backend = DistanceQuadrupletOracle(
-            space, noise=AdversarialNoise(mu=0.3, seed=2), counter=QueryCounter()
+            space, noise=AdversarialNoise(mu=0.3), counter=QueryCounter()
         )
         service = CrowdOracleService(quadruplet=backend)
         with ServiceRuntime(service, default_timeout=GUARD) as runtime:

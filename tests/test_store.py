@@ -863,12 +863,12 @@ class TestStoredOracles:
 
         direct = run(
             DistanceQuadrupletOracle(
-                space, noise=AdversarialNoise(mu=0.3, seed=2), counter=QueryCounter()
+                space, noise=AdversarialNoise(mu=0.3), counter=QueryCounter()
             )
         )
         store = AnswerStore(tmp_path / "s")
         inner = DistanceQuadrupletOracle(
-            space, noise=AdversarialNoise(mu=0.3, seed=2), counter=QueryCounter()
+            space, noise=AdversarialNoise(mu=0.3), counter=QueryCounter()
         )
         served = run(StoredQuadrupletOracle(inner, store))
         assert served.centers == direct.centers
@@ -910,7 +910,7 @@ class TestStoredOracles:
         def run_once(noise_seed):
             store = AnswerStore(directory)
             inner = DistanceQuadrupletOracle(
-                space, noise=AdversarialNoise(mu=0.3, seed=noise_seed), counter=QueryCounter()
+                space, noise=AdversarialNoise(mu=0.3), counter=QueryCounter()
             )
             wrapped = StoredQuadrupletOracle(inner, store, counter=QueryCounter())
             result = kcenter_adversarial(wrapped, k=4, seed=9)
