@@ -20,8 +20,8 @@ Oracle" (Addanki, Galhotra, Saha — PVLDB 14(9), 2021).  The library provides:
   stack, with per-session budgets, simulated crowd latency and backpressure
   (``python -m repro.service`` is a load-driver demo),
 * a persistent crowd-answer warehouse (:mod:`repro.store`) that deduplicates
-  queries across sessions and runs and aggregates repeated noisy answers
-  into majority votes (``python -m repro.store`` is the maintenance CLI).
+  queries across sessions and runs (``python -m repro.store`` is the
+  maintenance CLI).
 
 Quickstart
 ----------

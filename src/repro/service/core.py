@@ -116,15 +116,15 @@ class ServiceConfig:
             raise InvalidParameterError(
                 f"batch_window must be non-negative, got {self.batch_window}"
             )
-        if self.max_batch_size < 1:
+        if not self.max_batch_size >= 1:
             raise InvalidParameterError(
                 f"max_batch_size must be at least 1, got {self.max_batch_size}"
             )
-        if self.max_pending < 1:
+        if not self.max_pending >= 1:
             raise InvalidParameterError(
                 f"max_pending must be at least 1, got {self.max_pending}"
             )
-        if self.max_inflight < 1:
+        if not self.max_inflight >= 1:
             raise InvalidParameterError(
                 f"max_inflight must be at least 1, got {self.max_inflight}"
             )
@@ -548,10 +548,10 @@ class CrowdOracleService:
         oracle path).
 
         Deliberate trade-off versus the storeless path's single merged
-        backend call: per-request serving keeps the charging and replication
-        semantics per session (who pays for a shared miss, vote order within
-        a batch) simple and testable, while the expensive resource — the
-        simulated crowd round trip — is still paid once per micro-batch.
+        backend call: per-request serving keeps the charging semantics per
+        session (who pays for a shared miss, vote order within a batch)
+        simple and testable, while the expensive resource — the simulated
+        crowd round trip — is still paid once per micro-batch.
         What splits is only the in-process ``compare_batch`` compute, and
         warehouse hits skip the backend entirely.
         """

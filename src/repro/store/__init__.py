@@ -7,15 +7,12 @@ the in-memory caches in :mod:`repro.oracles` and the per-session budgets in
 makes answers durable and shared:
 
 * :class:`~repro.store.warehouse.AnswerStore` — a warehouse sharded by key
-  hash into independent WAL+snapshot segments (format v2, versioned,
-  auto-migrating v1 stores on open), holding a multiset of noisy votes per
-  canonical query key and answering by majority once a configurable
-  replication factor is reached.  Appends group-commit (K appends inside
-  the commit window share one fsync), warm reads come from an in-memory
-  index that never touches disk, and per-shard advisory locks let several
-  processes write disjoint shards of one store concurrently.  Repeated
-  queries are not just deduplicated: with ``replication > 1`` they
-  *reduce* effective noise.
+  hash into independent WAL+snapshot segments (format v2, versioned),
+  holding the noisy votes of every canonical query key and answering with
+  their strict majority.  Appends group-commit (K appends inside the commit
+  window share one fsync), warm reads come from an in-memory index that
+  never touches disk, and per-shard advisory locks let several processes
+  write disjoint shards of one store concurrently.
 * :class:`~repro.store.oracle.StoredComparisonOracle` /
   :class:`~repro.store.oracle.StoredQuadrupletOracle` — drop-in oracle
   wrappers that consult the warehouse first and charge their
@@ -25,10 +22,10 @@ makes answers durable and shared:
 * Integration with :class:`~repro.service.core.CrowdOracleService`
   (``store=`` parameter): concurrent sessions share one warehouse, and each
   session's counter records its own hit/miss/charged split.
-* ``python -m repro.store`` — ``stats`` / ``compact`` / ``migrate`` /
-  ``clean`` maintenance CLI.
+* ``python -m repro.store`` — ``stats`` / ``compact`` / ``clean``
+  maintenance CLI.
 
-Vote semantics, knobs and the multi-writer contract:
+Readout, knobs and the multi-writer contract:
 ``docs/subsystems/store.md``.  Byte-level on-disk format:
 ``docs/subsystems/store-format.md`` (mirrored by
 :mod:`repro.store.format`).
@@ -44,13 +41,12 @@ from repro.store.keys import (
 )
 from repro.store.oracle import StoredComparisonOracle, StoredQuadrupletOracle
 from repro.store.shard import GroupCommitPolicy, StoreShard
-from repro.store.warehouse import AnswerStore, majority_readout
+from repro.store.warehouse import AnswerStore
 
 __all__ = [
     "AnswerStore",
     "DEFAULT_N_SHARDS",
     "GroupCommitPolicy",
-    "majority_readout",
     "shard_of",
     "STORE_FORMAT_VERSION",
     "StoredComparisonOracle",

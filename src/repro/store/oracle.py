@@ -4,21 +4,17 @@
 between any algorithm and a concrete inner oracle: every query is first
 looked up in a shared :class:`~repro.store.warehouse.AnswerStore` under its
 canonical integer code, and only *misses* — queries the warehouse cannot yet
-resolve under its replication/confidence policy — are forwarded to the inner
-oracle (the real crowd).  The wrapper's :class:`~repro.oracles.counting.QueryCounter`
-charges exactly those misses; warehouse hits are recorded as cached, so the
-counter's hit rate *is* the cross-session dedup rate.
+resolve — are forwarded to the inner oracle (the real crowd).  The wrapper's
+:class:`~repro.oracles.counting.QueryCounter` charges exactly those misses;
+warehouse hits are recorded as cached, so the counter's hit rate *is* the
+cross-session dedup rate.
 
-Determinism contract: with a cold store and the default ``replication=1``,
-forwarded queries reach the inner oracle as exactly the first occurrences of
-each distinct canonical query, in presentation order — the same sequence the
-inner oracle's own ``compare_batch`` dedup would produce — so seeded runs
-through a cold wrapper are bit-identical to the direct oracle path,
-persistent noise draws included.  With ``replication > 1`` each unresolved
-query is re-forwarded until enough votes accumulate; genuinely *independent*
-votes require an inner oracle whose answers are not persisted per query
-(e.g. ``ProbabilisticNoise(persistent=False)``, or per-run noise seeds),
-which is documented in ``docs/subsystems/store.md``.
+Determinism contract: with a cold store, forwarded queries reach the inner
+oracle as exactly the first occurrences of each distinct canonical query, in
+presentation order — the same sequence the inner oracle's own
+``compare_batch`` dedup would produce — so seeded runs through a cold wrapper
+are bit-identical to the direct oracle path, persistent noise draws
+included.
 """
 
 from __future__ import annotations
@@ -109,13 +105,14 @@ class _StoredOracleCore:
 
         ``ask_inner(positions)`` must answer the *canonical* queries at the
         given full-batch positions through the inner oracle, preserving
-        order.  Rounds: resolve what the store can, forward the first
-        occurrence of each still-unresolved code, fold the votes in, re-check
-        — repeated occurrences of a code that resolves mid-batch become store
-        hits, exactly as a scalar loop over the same queries would see.  The
-        counter records every non-trivial query at the end (hits via
-        ``cached_mask``), clamping to the scalar prefix on a budget overrun
-        just like the concrete oracles.
+        order.  One round: resolve what the store can, ask the inner oracle
+        once per distinct unresolved code (its first occurrence, in batch
+        order — the order persistent noise draws depend on), append those
+        votes, and answer the code's repeats with the fresh answer, counted
+        as store hits exactly as a scalar loop over the same queries would
+        see them.  The counter records every non-trivial query at the end
+        (hits via ``cached_mask``), clamping to the scalar prefix on a budget
+        overrun just like the concrete oracles.
         """
         m = len(codes)
         out = np.ones(m, dtype=bool)
@@ -123,27 +120,22 @@ class _StoredOracleCore:
         if active.size == 0:
             return out
         codes_a = codes[active]
-        canonical = np.zeros(active.size, dtype=bool)
-        resolved, answers = self.store.lookup_batch(codes_a)
-        canonical[resolved] = answers[resolved]
+        resolved, canonical = self.store.lookup_batch(codes_a)
         cached_mask = resolved.copy()
         pending = np.nonzero(~resolved)[0]
-        while pending.size:
-            # First occurrence of each distinct unresolved code, in batch
-            # order — the order persistent noise draws depend on.
-            first_idx = np.unique(codes_a[pending], return_index=True)[1]
-            ask_local = pending[np.sort(first_idx)]
+        if pending.size:
+            _, first_idx, inverse = np.unique(
+                codes_a[pending], return_index=True, return_inverse=True
+            )
+            ask_order = np.argsort(first_idx)
+            ask_local = pending[first_idx[ask_order]]
             fresh = ask_inner(active[ask_local])
             self.store.add_votes(codes_a[ask_local], fresh)
-            canonical[ask_local] = fresh
-            rest = pending[~np.isin(pending, ask_local)]
-            if rest.size:
-                res_now, ans_now = self.store.lookup_batch(codes_a[rest])
-                hit = rest[res_now]
-                canonical[hit] = ans_now[res_now]
-                cached_mask[hit] = True
-                rest = rest[~res_now]
-            pending = rest
+            fresh_by_code = np.empty(len(first_idx), dtype=bool)
+            fresh_by_code[ask_order] = fresh
+            canonical[pending] = fresh_by_code[inverse]
+            cached_mask[pending] = True
+            cached_mask[ask_local] = False
         out[active] = canonical ^ flipped[active]
         counter.record_batch(active.size, cached_mask=cached_mask, tag=tag)
         return out

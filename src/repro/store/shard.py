@@ -68,7 +68,7 @@ class GroupCommitPolicy:
     * ``"always"`` — every append batch fsyncs (one fsync per
       ``add_votes`` call, still amortised over the batch).
     * ``"none"`` — never fsync; durability is whatever the OS page cache
-      gives you (the legacy v1 behaviour).
+      gives you.
     """
 
     mode: str = "group"
@@ -84,7 +84,14 @@ class GroupCommitPolicy:
 class StoreShard:
     """One shard: votes, WAL handle, lock, and group-commit state."""
 
-    def __init__(self, directory: Path, shard: int, n_shards: int, policy: GroupCommitPolicy):
+    def __init__(
+        self,
+        directory: Path,
+        shard: int,
+        n_shards: int,
+        policy: GroupCommitPolicy,
+        read_index: Dict[int, bool],
+    ):
         self.directory = directory
         self.shard = int(shard)
         self.n_shards = int(n_shards)
@@ -103,11 +110,11 @@ class StoreShard:
         #: memory and reloaded the shard; the warehouse must then rebuild its
         #: read index for this shard's keys.  Cleared by the warehouse.
         self.resynced = False
-        #: The warehouse's resolved-answer dict, attached only when readout
-        #: is pure dedup (``replication=1``, no confidence threshold).  When
-        #: set, :meth:`append` folds each vote into tallies *and* read index
-        #: in a single pass — the hot loop of the whole write path.
-        self.read_index: Optional[Dict[int, bool]] = None
+        #: The warehouse's resolved-answer dict (code -> strict-majority
+        #: answer; ties absent), shared by every shard of the store.
+        #: :meth:`append` folds each vote into tallies *and* read index in a
+        #: single pass — the hot loop of the whole write path.
+        self.read_index = read_index
 
     # -- paths ----------------------------------------------------------------
 
@@ -208,21 +215,13 @@ class StoreShard:
                 skip = snapshot_seq - first_seq + 1
                 codes, answers = codes[skip:], answers[skip:]
             votes = self.votes
-            for code, answer in zip(codes, answers):  # tally(), inlined: hot loop
+            for code, answer in zip(codes, answers):  # hot loop
                 pair = votes.get(code)
                 if pair is None:
                     votes[code] = [int(answer), int(not answer)]
                 else:
                     pair[0 if answer else 1] += 1
         return offset, torn
-
-    def tally(self, code: int, answer: bool) -> None:
-        """Fold one vote into the in-memory counts."""
-        pair = self.votes.get(code)
-        if pair is None:
-            self.votes[code] = [int(answer), int(not answer)]
-        else:
-            pair[0 if answer else 1] += 1
 
     # -- write path -----------------------------------------------------------
 
@@ -309,17 +308,9 @@ class StoreShard:
             votes.update(
                 zip(code_list, [[1, 0] if a else [0, 1] for a in answer_list])
             )
-            if index is not None:
-                index.update(zip(code_list, answer_list))
-        elif index is None:
-            for code, answer in zip(code_list, answer_list):
-                pair = votes.get(code)  # tally(), inlined: hot loop
-                if pair is None:
-                    votes[code] = [1, 0] if answer else [0, 1]
-                else:
-                    pair[0 if answer else 1] += 1
+            index.update(zip(code_list, answer_list))
         else:
-            # Pure-dedup readout fused into the tally loop (see read_index).
+            # Readout fused into the tally loop (see read_index).
             for code, answer in zip(code_list, answer_list):
                 pair = votes.get(code)
                 if pair is None:

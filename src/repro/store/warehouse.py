@@ -1,4 +1,4 @@
-"""The sharded crowd-answer warehouse: shard routing, read index, migration.
+"""The sharded crowd-answer warehouse: shard routing and the read index.
 
 :class:`AnswerStore` keeps, for every canonical query key (the int-code
 scheme of :mod:`repro.store.keys`), a multiset of noisy Yes/No answers — the
@@ -6,9 +6,9 @@ scheme of :mod:`repro.store.keys`), a multiset of noisy Yes/No answers — the
 
 * ``manifest.json`` pins the format version, the shard count and the record
   count the codes are computed against.  Its presence is what makes a
-  directory a v2 store; a directory holding the legacy flat ``wal.jsonl`` /
-  ``snapshot.json`` instead is a v1 store and is migrated in place the first
-  time it is opened (losslessly — every vote carries over).
+  directory a v2 store.  A directory holding the legacy flat ``wal.jsonl`` /
+  ``snapshot.json`` of format v1 instead is not read: opening it raises
+  :class:`~repro.exceptions.StoreError` and writes nothing.
 * ``shards/<id>/`` holds one :class:`~repro.store.shard.StoreShard` per
   shard: an append-only WAL plus a compacted snapshot.  Keys route to shards
   by ``code % n_shards``, and shards are fully independent — separate
@@ -16,23 +16,16 @@ scheme of :mod:`repro.store.keys`), a multiset of noisy Yes/No answers — the
   several *processes* can write disjoint shards of one store concurrently.
 
 Reads are served from a warehouse-level in-memory index mapping every
-*resolved* code to its majority answer, maintained incrementally as votes
-arrive: a warm :meth:`lookup_batch` is one dict probe per key and never
-touches disk.  Appends are framed and written per shard in one ``write``
-call and made durable under a group-commit policy (K appends inside the
-commit window share one ``fsync``; see
+*resolved* code to its answer, maintained incrementally as votes arrive: a
+warm :meth:`lookup_batch` is one dict probe per key and never touches disk.
+A key resolves to the strict majority of its stored votes; a tie leaves it
+unresolved until the next vote.  Appends are framed and written per shard in
+one ``write`` call and made durable under a group-commit policy (K appends
+inside the commit window share one ``fsync``; see
 :class:`~repro.store.shard.GroupCommitPolicy`).
 
-Readout is *vote aggregation*, not plain memoisation: a key only serves an
-answer once it holds at least ``replication`` votes with a strict majority
-(optionally a ``confidence`` fraction of the votes).  With
-``replication=1`` (the default) the store behaves as a cross-session dedup
-cache; with ``replication=r > 1`` it re-asks each query until *r* votes
-accumulate and then answers by majority, so independent noisy answers
-*reduce* the effective error rate instead of merely being reused.
-
 The byte-level layout lives in ``docs/subsystems/store-format.md``; the
-operational guide (knobs, multi-writer contract, migration) in
+operational guide (knobs, multi-writer contract) in
 ``docs/subsystems/store.md``.
 """
 
@@ -45,11 +38,6 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-try:  # POSIX advisory locking; absent on some platforms (best-effort guard).
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    fcntl = None
-
 from repro import obs
 from repro.exceptions import InvalidParameterError, StoreError
 from repro.storage import write_file_atomic
@@ -60,24 +48,6 @@ from repro.store.shard import GroupCommitPolicy, StoreShard
 STORE_FORMAT_VERSION = fmt.STORE_FORMAT_VERSION
 
 DEFAULT_N_SHARDS = fmt.DEFAULT_N_SHARDS
-
-
-def majority_readout(
-    yes: int, no: int, replication: int = 1, confidence: float = 0.0
-) -> Optional[bool]:
-    """Aggregate one key's votes into an answer, or ``None`` when unresolved.
-
-    Resolved means: at least *replication* votes, a strict majority (ties
-    never resolve — another vote is needed), and the majority fraction is at
-    least *confidence* (``0.0`` disables the threshold; ``2/3`` would demand
-    a two-thirds majority however many votes there are).
-    """
-    total = yes + no
-    if total < replication or yes == no:
-        return None
-    if confidence > 0.0 and max(yes, no) / total < confidence:
-        return None
-    return yes > no
 
 
 class AnswerStore:
@@ -94,13 +64,8 @@ class AnswerStore:
         :class:`~repro.exceptions.StoreError` instead of losing votes.
         Opening creates the directory and its ``manifest.json`` if absent
         (create the store *before* spawning concurrent writers, so they
-        agree on the shard count), and transparently migrates a legacy v1
-        store in place.
-    replication:
-        Votes required before a key serves answers (see
-        :func:`majority_readout`).  ``1`` = pure dedup.
-    confidence:
-        Optional majority fraction a resolved key must reach, in ``[0, 1]``.
+        agree on the shard count).  A directory holding a legacy v1 store
+        raises :class:`~repro.exceptions.StoreError`.
     compact_every:
         Appended votes per shard between automatic compactions of that
         shard; ``0`` disables auto-compaction (explicit :meth:`compact`
@@ -111,15 +76,15 @@ class AnswerStore:
         attaches; a mismatch with the on-disk value raises
         :class:`~repro.exceptions.StoreError`.
     n_shards:
-        Shard count for a store created (or migrated) by this open; an
-        existing v2 store's manifest wins, and passing a conflicting value
+        Shard count for a store created by this open; an existing store's
+        manifest wins, and passing a conflicting value
         raises :class:`~repro.exceptions.StoreError`.  ``None`` defers to
         the manifest or, for new stores, to :data:`DEFAULT_N_SHARDS`.
     sync:
         Durability policy: ``"group"`` (default — fsyncs batched inside
         *group_commit_window*), ``"always"`` (fsync every append batch) or
-        ``"none"`` (leave durability to the OS page cache, the v1
-        behaviour).  See :class:`~repro.store.shard.GroupCommitPolicy`.
+        ``"none"`` (leave durability to the OS page cache).  See
+        :class:`~repro.store.shard.GroupCommitPolicy`.
     group_commit_window:
         Group-commit window in seconds (only meaningful with
         ``sync="group"``).
@@ -128,27 +93,17 @@ class AnswerStore:
     def __init__(
         self,
         directory: os.PathLike | str,
-        replication: int = 1,
-        confidence: float = 0.0,
         compact_every: int = 100_000,
         n_records: Optional[int] = None,
         n_shards: Optional[int] = None,
         sync: str = "group",
         group_commit_window: float = 0.005,
     ):
-        if replication < 1:
-            raise InvalidParameterError(
-                f"replication must be at least 1, got {replication}"
-            )
-        if not 0.0 <= confidence <= 1.0:
-            raise InvalidParameterError(
-                f"confidence must be in [0, 1], got {confidence}"
-            )
-        if compact_every < 0:
+        if not compact_every >= 0:
             raise InvalidParameterError(
                 f"compact_every must be non-negative, got {compact_every}"
             )
-        if n_shards is not None and n_shards < 1:
+        if n_shards is not None and not n_shards >= 1:
             raise InvalidParameterError(
                 f"n_shards must be at least 1, got {n_shards}"
             )
@@ -157,8 +112,6 @@ class AnswerStore:
         except ValueError as error:
             raise InvalidParameterError(str(error)) from error
         self.directory = Path(directory)
-        self.replication = int(replication)
-        self.confidence = float(confidence)
         self.compact_every = int(compact_every)
         self.n_records: Optional[int] = int(n_records) if n_records is not None else None
         self._requested_shards = int(n_shards) if n_shards is not None else None
@@ -166,7 +119,8 @@ class AnswerStore:
         self._shards: List[StoreShard] = []
         #: The read index: every *resolved* code -> its majority answer.
         #: Warm lookups are one dict probe here; unresolved and unseen keys
-        #: are simply absent.
+        #: are simply absent.  Every shard holds a reference and folds its
+        #: appended votes in, so it is only ever updated in place.
         self._resolved: Dict[int, bool] = {}
         self._n_votes = 0
         self._manifest_written = False
@@ -183,7 +137,7 @@ class AnswerStore:
         """Shard id owning *code* under this store's shard count."""
         return fmt.shard_of(int(code), self.n_shards)
 
-    # -- opening / migration ---------------------------------------------------
+    # -- opening ---------------------------------------------------------------
 
     def _open(self) -> None:
         with obs.span("store.open", subsystem="store"), obs.timer("store.open_seconds"):
@@ -191,8 +145,6 @@ class AnswerStore:
 
     def _open_inner(self) -> None:
         manifest = self.manifest_path
-        if not manifest.exists() and fmt.is_v1_layout(self.directory):
-            self._migrate_v1()
         if manifest.exists():
             disk_shards, disk_records = fmt.decode_manifest(
                 manifest.read_text(encoding="utf-8"), manifest
@@ -206,85 +158,21 @@ class AnswerStore:
                 )
             self.n_shards = disk_shards
             self._bind_n_records_value(disk_records, "the manifest")
-            self._remove_v1_leftovers()
         else:
+            fmt.check_no_v1_store(self.directory)
             self.n_shards = self._requested_shards or fmt.DEFAULT_N_SHARDS
             self._write_manifest()
         self._manifest_written = True
-        self._shards = [
-            StoreShard(self.directory, shard, self.n_shards, self.policy)
-            for shard in range(self.n_shards)
-        ]
+        self._shards = self._new_shards()
         for shard in self._shards:
             shard.load()
-        self._rebuild_index()
+        self._n_votes = sum(self._index_shard(shard) for shard in self._shards)
 
-    def _migrate_v1(self) -> None:
-        """Rewrite a legacy v1 store as format v2, in place, losslessly.
-
-        Guarded by a blocking ``flock`` on ``.migrate.lock`` so concurrent
-        openers serialise: the winner migrates, the others wait, re-check the
-        manifest and find the work done.  The manifest write is the commit
-        point — every shard snapshot is fully on disk (and fsynced) before
-        it lands, and the v1 files are deleted only after.  A crash *before*
-        the manifest leaves the v1 files authoritative (the partial
-        ``shards/`` tree is wiped and rebuilt on the next open); a crash
-        *after* leaves v1 leftovers that :meth:`_remove_v1_leftovers` clears.
-        """
-        self.directory.mkdir(parents=True, exist_ok=True)
-        lock_path = self.directory / fmt.MIGRATE_LOCK_NAME
-        handle = lock_path.open("w")
-        try:
-            if fcntl is not None:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-            if self.manifest_path.exists():
-                return  # another process migrated while we waited on the lock
-            votes, n_records, _ = fmt.read_v1_store(self.directory)
-            n_shards = self._requested_shards or fmt.DEFAULT_N_SHARDS
-            shards_dir = self.directory / fmt.SHARDS_DIR_NAME
-            if shards_dir.exists():
-                shutil.rmtree(shards_dir)  # partial earlier attempt: rebuild
-            per_shard: List[Dict[int, List[int]]] = [{} for _ in range(n_shards)]
-            for code, pair in votes.items():
-                per_shard[fmt.shard_of(code, n_shards)][code] = pair
-            for shard, shard_votes in enumerate(per_shard):
-                fmt.shard_dir(self.directory, shard).mkdir(parents=True, exist_ok=True)
-                self._write_file_fsync(
-                    fmt.shard_snapshot_path(self.directory, shard),
-                    fmt.encode_shard_snapshot(shard, n_shards, 0, shard_votes),
-                )
-                self._write_file_fsync(
-                    fmt.shard_wal_path(self.directory, shard),
-                    fmt.encode_shard_header(shard, n_shards),
-                )
-            if n_records is not None:
-                self._bind_n_records_value(n_records, "the migrated v1 store")
-            self.n_shards = n_shards
-            self._write_manifest()  # commit point: the store is now v2
-            self._remove_v1_leftovers()
-        finally:
-            handle.close()
-        try:
-            lock_path.unlink()
-        except FileNotFoundError:
-            pass
-
-    @staticmethod
-    def _write_file_fsync(path: Path, payload: str) -> None:
-        with path.open("w", encoding="utf-8") as out:
-            out.write(payload)
-            out.flush()
-            os.fsync(out.fileno())
-
-    def _remove_v1_leftovers(self) -> None:
-        # A manifest only ever lands after the shards are complete, so v1
-        # files found next to one are leftovers of a crash between the
-        # migration commit and the v1 cleanup — never authoritative.
-        for path in (fmt.v1_wal_path(self.directory), fmt.v1_snapshot_path(self.directory)):
-            try:
-                path.unlink()
-            except FileNotFoundError:
-                pass
+    def _new_shards(self) -> List[StoreShard]:
+        return [
+            StoreShard(self.directory, shard, self.n_shards, self.policy, self._resolved)
+            for shard in range(self.n_shards)
+        ]
 
     def _write_manifest(self) -> None:
         try:
@@ -327,47 +215,24 @@ class AnswerStore:
 
     # -- read index ------------------------------------------------------------
 
-    def _rebuild_index(self) -> None:
-        self._resolved = {}
-        self._n_votes = sum(self._index_shard(shard) for shard in self._shards)
-        self._attach_read_index()
-
-    def _attach_read_index(self) -> None:
-        """Hand shards the resolved dict when readout is pure dedup.
-
-        With ``replication=1`` and no confidence threshold, a shard can fold
-        each appended vote into the read index in the same pass as the tally
-        (see :attr:`StoreShard.read_index`).  Must be re-run whenever
-        ``self._resolved`` is *reassigned* — the shards hold a reference.
-        """
-        pure_dedup = self.replication <= 1 and self.confidence <= 0.0
-        index = self._resolved if pure_dedup else None
-        for shard in self._shards:
-            shard.read_index = index
-
     def _index_shard(self, shard: StoreShard) -> int:
         """Fold one shard's tallies into the read index; returns its vote count."""
-        replication, confidence = self.replication, self.confidence
         resolved = self._resolved
         n_votes = 0
         for code, (yes, no) in shard.votes.items():
             n_votes += yes + no
-            answer = majority_readout(yes, no, replication, confidence)
-            if answer is not None:
-                resolved[code] = answer
+            if yes != no:
+                resolved[code] = yes > no
         return n_votes
 
     def _resync_shard(self, shard: StoreShard) -> None:
         """Rebuild the read index for one shard after a cross-process resync."""
         sid, n_shards = shard.shard, self.n_shards
-        self._resolved = {
-            code: answer
-            for code, answer in self._resolved.items()
-            if code % n_shards != sid
-        }
+        resolved = self._resolved
+        for code in [code for code in resolved if code % n_shards == sid]:
+            del resolved[code]
         self._index_shard(shard)
         self._n_votes = sum(s.n_votes for s in self._shards)
-        self._attach_read_index()  # _resolved was reassigned above
         shard.resynced = False
 
     # -- write path -----------------------------------------------------------
@@ -422,7 +287,6 @@ class AnswerStore:
                     per_shard.append(
                         (sid, sorted_codes[start:end], sorted_answers[start:end])
                     )
-        replication, confidence = self.replication, self.confidence
         for sid, shard_codes, shard_answers in per_shard:
             shard = self._shards[sid]
             shard.append(shard_codes, shard_answers)
@@ -430,21 +294,10 @@ class AnswerStore:
                 # Another (finished) writer moved this shard on disk; the
                 # shard reloaded itself — rebuild our view of it wholesale.
                 self._resync_shard(shard)
-            elif shard.read_index is not None:
-                # Pure dedup: the shard folded each vote into the read index
-                # inside its tally loop already (see StoreShard.read_index).
-                self._n_votes += len(shard_codes)
             else:
+                # The shard folded each vote into the read index inside its
+                # tally loop already (see StoreShard.read_index).
                 self._n_votes += len(shard_codes)
-                shard_votes = shard.votes
-                resolved = self._resolved
-                for code in shard_codes.tolist():
-                    yes, no = shard_votes[code]
-                    answer = majority_readout(yes, no, replication, confidence)
-                    if answer is None:
-                        resolved.pop(code, None)
-                    else:
-                        resolved[code] = answer
             if self.compact_every and shard.appends_since_compact >= self.compact_every:
                 shard.compact()
 
@@ -522,29 +375,19 @@ class AnswerStore:
         """Delete the store's on-disk files; returns how many were removed."""
         self.close()
         removed = 0
-        for path in (
-            fmt.v1_wal_path(self.directory),
-            fmt.v1_snapshot_path(self.directory),
-            self.manifest_path,
-            self.directory / fmt.MIGRATE_LOCK_NAME,
-        ):
-            try:
-                path.unlink()
-                removed += 1
-            except FileNotFoundError:
-                pass
+        try:
+            self.manifest_path.unlink()
+            removed += 1
+        except FileNotFoundError:
+            pass
         shards_dir = self.directory / fmt.SHARDS_DIR_NAME
         if shards_dir.exists():
             for _, _, files in os.walk(shards_dir):
                 removed += len(files)
             shutil.rmtree(shards_dir)
-        self._shards = [
-            StoreShard(self.directory, shard, self.n_shards, self.policy)
-            for shard in range(self.n_shards)
-        ]
-        self._resolved = {}
+        self._resolved.clear()
+        self._shards = self._new_shards()
         self._n_votes = 0
-        self._attach_read_index()  # fresh shards, reassigned _resolved
         self._manifest_written = False  # rewritten by the next add_votes
         return removed
 
@@ -575,7 +418,7 @@ class AnswerStore:
 
     @property
     def n_resolved(self) -> int:
-        """Keys currently able to serve an answer under the readout policy."""
+        """Keys currently able to serve an answer (a strict majority, no tie)."""
         return len(self._resolved)
 
     def stats(self) -> Dict[str, Any]:
@@ -586,8 +429,6 @@ class AnswerStore:
             "format": fmt.STORE_FORMAT_VERSION,
             "n_shards": self.n_shards,
             "n_records": self.n_records,
-            "replication": self.replication,
-            "confidence": self.confidence,
             "sync": self.policy.mode,
             "group_commit_window": self.policy.window,
             "n_keys": len(self),

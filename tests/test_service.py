@@ -70,6 +70,9 @@ class TestServiceConfig:
             {"batch_window": float("nan")},
             {"latency": float("nan")},
             {"jitter": float("nan")},
+            {"max_batch_size": float("nan")},
+            {"max_pending": float("nan")},
+            {"max_inflight": float("nan")},
         ],
     )
     def test_invalid_rejected(self, kwargs):

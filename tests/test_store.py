@@ -1,10 +1,10 @@
 """Tests for the persistent crowd-answer warehouse (`repro.store`).
 
 Covers the sharded v2 on-disk format (manifest, per-shard WAL + snapshot,
-group commit, crash recovery, v1 migration, versioning), vote aggregation
-and readout, concurrent multi-process writers over disjoint shards, the
-warehouse-backed oracle wrappers (cold bit-identity with the direct path,
-warm-store query savings, replication), the maintenance CLI, and the
+group commit, crash recovery, versioning, refusal of v1 layouts), vote
+tallies and majority readout, concurrent multi-process writers over disjoint
+shards, the warehouse-backed oracle wrappers (cold bit-identity with the
+direct path, warm-store query savings), the maintenance CLI, and the
 shared-store integration with the crowd-oracle service.  Async service
 tests reuse the per-test ``asyncio.wait_for`` guard convention of
 ``tests/test_service.py``.
@@ -15,6 +15,7 @@ from __future__ import annotations
 import asyncio
 import json
 import multiprocessing
+import re
 import shutil
 import warnings
 
@@ -41,7 +42,6 @@ from repro.store import (
     AnswerStore,
     StoredComparisonOracle,
     StoredQuadrupletOracle,
-    majority_readout,
     shard_of,
 )
 from repro.store import format as fmt
@@ -65,26 +65,6 @@ def _values(n=40, seed=0):
 
 def _space(n=30, seed=4):
     return PointCloudSpace(np.random.default_rng(seed).normal(size=(n, 2)))
-
-
-class TestMajorityReadout:
-    def test_unresolved_below_replication(self):
-        assert majority_readout(1, 0, replication=2) is None
-        assert majority_readout(1, 0, replication=1) is True
-
-    def test_ties_never_resolve(self):
-        assert majority_readout(2, 2, replication=1) is None
-        assert majority_readout(0, 0) is None
-
-    def test_strict_majority_decides(self):
-        assert majority_readout(3, 1) is True
-        assert majority_readout(1, 4) is False
-
-    def test_confidence_threshold(self):
-        # 3/5 = 60% majority: below a 2/3 confidence bar, above a 1/2 bar.
-        assert majority_readout(3, 2, confidence=2 / 3) is None
-        assert majority_readout(3, 2, confidence=0.5) is True
-        assert majority_readout(5, 1, confidence=2 / 3) is True
 
 
 class TestAnswerStore:
@@ -111,11 +91,11 @@ class TestAnswerStore:
         reopened.close()
 
     def test_lookup_batch_matches_scalar(self, tmp_path):
-        store = AnswerStore(tmp_path / "s", replication=2)
-        store.add_votes([1, 1, 2, 3], [True, True, False, True])
+        store = AnswerStore(tmp_path / "s")
+        store.add_votes([1, 1, 2, 2, 3], [True, True, False, True, False])
         codes = np.array([1, 2, 3, 9], dtype=np.int64)
         resolved, answers = store.lookup_batch(codes)
-        assert resolved.tolist() == [True, False, False, False]  # 2 only has 1 vote
+        assert resolved.tolist() == [True, False, True, False]  # 2 is tied 1-1
         assert answers[0]
         for pos, code in enumerate(codes):
             scalar = store.lookup(int(code))
@@ -142,22 +122,11 @@ class TestAnswerStore:
         assert reopened.votes(11) == (2, 0)
         reopened.close()
 
-    def test_replication_gates_readout(self, tmp_path):
-        store = AnswerStore(tmp_path / "s", replication=3)
-        store.add_vote(5, True)
-        store.add_vote(5, True)
-        assert store.lookup(5) is None
-        store.add_vote(5, False)
-        assert store.lookup(5) is True  # 2-1 majority at 3 votes
-        assert store.n_resolved == 1
-
     def test_invalid_parameters_rejected(self, tmp_path):
         with pytest.raises(InvalidParameterError):
-            AnswerStore(tmp_path, replication=0)
-        with pytest.raises(InvalidParameterError):
-            AnswerStore(tmp_path, confidence=1.5)
-        with pytest.raises(InvalidParameterError):
             AnswerStore(tmp_path, compact_every=-1)
+        with pytest.raises(InvalidParameterError):
+            AnswerStore(tmp_path, compact_every=float("nan"))
         store = AnswerStore(tmp_path / "s")
         with pytest.raises(InvalidParameterError):
             store.add_votes([1, 2], [True])
@@ -266,12 +235,12 @@ class TestAnswerStore:
         reopened.close()
 
     def test_stats_payload(self, tmp_path):
-        store = AnswerStore(tmp_path / "s", replication=2, n_records=8)
-        store.add_votes([1, 1, 2], [True, True, False])
+        store = AnswerStore(tmp_path / "s", n_records=8)
+        store.add_votes([1, 1, 2, 2], [True, True, False, True])
         stats = store.stats()
         assert stats["n_keys"] == 2
-        assert stats["n_votes"] == 3
-        assert stats["n_resolved"] == 1  # key 2 has a single vote < replication
+        assert stats["n_votes"] == 4
+        assert stats["n_resolved"] == 1  # key 2 is tied 1-1
         assert stats["n_records"] == 8
         assert stats["wal_bytes"] > 0
         store.close()
@@ -575,11 +544,26 @@ class TestShardedLayout:
         with pytest.raises(InvalidParameterError):
             AnswerStore(tmp_path / "a", n_shards=0)
         with pytest.raises(InvalidParameterError):
+            AnswerStore(tmp_path / "a", n_shards=float("nan"))
+        with pytest.raises(InvalidParameterError):
             AnswerStore(tmp_path / "b", sync="sometimes")
         with pytest.raises(InvalidParameterError):
             AnswerStore(tmp_path / "c", group_commit_window=-1.0)
         with pytest.raises(InvalidParameterError):
             AnswerStore(tmp_path / "d", group_commit_window=float("nan"))
+
+    def test_v1_layout_is_refused_and_nothing_written(self, tmp_path):
+        # Format v1 (a flat wal.jsonl and/or snapshot.json, no manifest) is
+        # not read.  Opening one must fail and name the file, not start an
+        # empty v2 store beside the old votes.
+        for name in (fmt.V1_WAL_NAME, fmt.SNAPSHOT_NAME):
+            directory = tmp_path / name
+            directory.mkdir()
+            (directory / name).write_text('{"format": 1, "n_records": 9}\n')
+            with pytest.raises(StoreError, match=re.escape(name)):
+                AnswerStore(directory)
+            assert [path.name for path in directory.iterdir()] == [name]
+            assert not fmt.manifest_path(directory).exists()
 
 
 class TestGroupCommit:
@@ -622,111 +606,6 @@ class TestGroupCommit:
         assert store.stats()["n_fsyncs"] == 1
 
 
-class TestMigration:
-    def _write_v1(self, directory, with_snapshot=True):
-        """Hand-craft a legacy v1 store: 3 keys, 6 votes, n_records=50."""
-        directory.mkdir(parents=True, exist_ok=True)
-        if with_snapshot:
-            (directory / "snapshot.json").write_text(
-                json.dumps(
-                    {
-                        "format": 1,
-                        "n_records": 50,
-                        "last_seq": 3,
-                        "n_keys": 2,
-                        "votes": {"-5": [2, 1], "12": [0, 1]},
-                    }
-                )
-            )
-            header = {"format": 1, "n_records": 50}
-            # Seqs 1-3 are folded into the snapshot; 4-6 are fresh.
-            records = [(3, 12, 0), (4, -5, 0), (5, -9, 1), (6, 12, 1)]
-        else:
-            header = {"format": 1, "n_records": 50}
-            records = [(1, -5, 1), (2, -5, 1), (3, 12, 0), (4, -5, 0), (5, -9, 1), (6, 12, 1)]
-        lines = [json.dumps(header)] + [json.dumps(list(r)) for r in records]
-        (directory / "wal.jsonl").write_text("".join(l + "\n" for l in lines))
-        return {-5: (2, 2), 12: (1, 1), -9: (1, 0)} if with_snapshot else {
-            -5: (2, 1),
-            12: (1, 1),
-            -9: (1, 0),
-        }
-
-    def test_v1_store_migrates_losslessly_on_open(self, tmp_path):
-        directory = tmp_path / "s"
-        expected = self._write_v1(directory)
-        store = AnswerStore(directory, n_shards=3)
-        # Equivalence on every vote, not just resolved answers.
-        assert {code: tuple(votes) for code, votes, in
-                ((c, store.votes(c)) for c in expected)} == expected
-        assert dict((c, (y, n)) for c, y, n in store.iter_votes()) == {
-            c: v for c, v in expected.items()
-        }
-        assert store.n_records == 50
-        assert not (directory / "wal.jsonl").exists()
-        assert not (directory / "snapshot.json").exists()
-        assert fmt.manifest_path(directory).exists()
-        store.close()
-
-    def test_v1_wal_only_store_migrates(self, tmp_path):
-        directory = tmp_path / "s"
-        expected = self._write_v1(directory, with_snapshot=False)
-        store = AnswerStore(directory)
-        for code, votes in expected.items():
-            assert store.votes(code) == votes
-        store.close()
-
-    def test_migration_survives_kill_before_commit(self, tmp_path):
-        # Window A: shards partially written, no manifest yet.  The v1 files
-        # are still authoritative; reopening wipes the partial tree and
-        # migrates again.
-        directory = tmp_path / "s"
-        expected = self._write_v1(directory)
-        poison = fmt.shard_dir(directory, 0)
-        poison.mkdir(parents=True)
-        (poison / fmt.WAL_NAME).write_text("partial garbage from a dead migration\n")
-        store = AnswerStore(directory, n_shards=2)
-        for code, votes in expected.items():
-            assert store.votes(code) == votes
-        store.close()
-
-    def test_migration_survives_kill_after_commit(self, tmp_path):
-        # Window B: manifest committed but v1 files not yet deleted.  The
-        # manifest wins; the v1 leftovers are cleared, no vote is read twice.
-        directory = tmp_path / "s"
-        expected = self._write_v1(directory)
-        store = AnswerStore(directory, n_shards=2)
-        store.close()
-        self._write_v1(directory)  # resurrect the v1 files next to the manifest
-        reopened = AnswerStore(directory)
-        for code, votes in expected.items():
-            assert reopened.votes(code) == votes  # not doubled
-        assert not (directory / "wal.jsonl").exists()
-        reopened.close()
-
-    def test_migrated_store_serves_and_extends(self, tmp_path):
-        directory = tmp_path / "s"
-        self._write_v1(directory)
-        store = AnswerStore(directory)
-        assert store.lookup(-9) is True
-        store.add_vote(-5, True)  # -5 was tied 2-2; this resolves it
-        assert store.lookup(-5) is True
-        store.close()
-        reopened = AnswerStore(directory)
-        assert reopened.votes(-5) == (3, 2)
-        reopened.close()
-
-    def test_v1_torn_tail_tolerated_during_migration(self, tmp_path):
-        directory = tmp_path / "s"
-        self._write_v1(directory)
-        with (directory / "wal.jsonl").open("a") as handle:
-            handle.write("[7, -9")
-        with pytest.warns(RuntimeWarning, match="corrupt entry"):
-            store = AnswerStore(directory)
-        assert store.votes(-9) == (1, 0)
-        store.close()
-
-
 def _disjoint_writer(directory, parity, n_votes, barrier, failures):
     """Worker: append *n_votes* votes whose codes all route to one shard."""
     try:
@@ -738,11 +617,6 @@ def _disjoint_writer(directory, parity, n_votes, barrier, failures):
         store.close()
     except BaseException as error:  # pragma: no cover - failure reporting
         failures.put(repr(error))
-
-
-def _migrate_worker(directory, results):
-    """Worker: run the migrate subcommand and report its exit code."""
-    results.put(store_main(["migrate", "--dir", str(directory), "--shards", "2"]))
 
 
 def _lock_holder(directory, code, acquired, release, failures):
@@ -978,58 +852,6 @@ class TestStoredOracles:
             wrapped.compare_batch([0, 1], [2, 99])
         store.close()
 
-    def test_replication_recharges_until_resolved(self, tmp_path):
-        # With replication=3 the same scalar query pays the crowd three
-        # times (three votes), then becomes a warehouse hit.
-        store = AnswerStore(tmp_path / "s", replication=3)
-        inner = ValueComparisonOracle(
-            _values(),
-            noise=ProbabilisticNoise(p=0.3, seed=1, persistent=False),
-            counter=QueryCounter(),
-            cache_answers=False,  # independent votes need an un-memoised crowd
-        )
-        wrapped = StoredComparisonOracle(inner, store, counter=QueryCounter())
-        for _ in range(3):
-            wrapped.compare(1, 2)
-        assert wrapped.counter.charged_queries == 3
-        assert wrapped.counter.cached_queries == 0
-        answer = wrapped.compare(1, 2)  # fourth ask: resolved, served free
-        assert wrapped.counter.cached_queries == 1
-        yes, no = store.votes(store_code := -(1 * len(inner) + 2) - 1)
-        assert yes + no == 3
-        assert answer == (yes > no)
-        assert store.lookup(store_code) == answer
-        store.close()
-
-    def test_majority_vote_reduces_noise(self, tmp_path):
-        # 5-vote majority over an independent p=0.35 crowd must beat a
-        # single noisy answer.  Deterministic given the seeds.
-        values = _values(400, seed=9)
-        pairs_i = np.arange(0, 398, 2)
-        pairs_j = pairs_i + 1
-        truth = values[pairs_i] <= values[pairs_j]
-
-        def errors(replication, noise_seed):
-            store = AnswerStore(tmp_path / f"r{replication}", replication=replication)
-            inner = ValueComparisonOracle(
-                values,
-                noise=ProbabilisticNoise(p=0.35, seed=noise_seed, persistent=False),
-                counter=QueryCounter(),
-                cache_answers=False,
-            )
-            wrapped = StoredComparisonOracle(inner, store, counter=QueryCounter())
-            for _ in range(replication):
-                wrapped.compare_batch(pairs_i, pairs_j)
-            answers = wrapped.compare_batch(pairs_i, pairs_j)  # all resolved now
-            assert wrapped.counter.cached_queries >= len(pairs_i)
-            store.close()
-            return int(np.count_nonzero(answers != truth))
-
-        single = errors(1, noise_seed=5)
-        majority = errors(5, noise_seed=5)
-        assert majority < single
-        assert majority / len(pairs_i) < 0.35  # below the raw noise rate
-
     def test_store_keys_match_inner_oracle_cache_keys(self, tmp_path):
         # Load-bearing invariant: the warehouse keys a query by the same
         # canonical int code the inner oracle uses for its answer cache and
@@ -1130,113 +952,14 @@ class TestStoreCli:
         assert f"{DEFAULT_N_SHARDS} shard(s)" in out
         assert "shard    0:" in out
 
-    def test_migrate_subcommand(self, tmp_path, capsys):
-        directory = tmp_path / "s"
-        directory.mkdir()
-        header = json.dumps({"format": 1, "n_records": 9})
-        records = [json.dumps([k + 1, -(k + 1), 1]) for k in range(5)]
-        (directory / "wal.jsonl").write_text(
-            "".join(line + "\n" for line in [header] + records)
-        )
-        assert store_main(["migrate", "--dir", str(directory), "--shards", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "migrated" in out and "3 shard(s)" in out
-        assert fmt.manifest_path(directory).exists()
-        assert not (directory / "wal.jsonl").exists()
-        # Re-running reports idempotence.
-        assert store_main(["migrate", "--dir", str(directory)]) == 0
-        assert "already" in capsys.readouterr().out
-
-    def test_migrate_already_v2_reports_nothing_to_do(self, tmp_path, capsys):
-        directory = str(tmp_path / "s")
-        self._populate(directory)  # creates a v2 store
-        assert store_main(["migrate", "--dir", directory]) == 0
-        out = capsys.readouterr().out
-        assert "already" in out and "nothing to migrate" in out
-
-    def test_migrate_shard_count_conflict_is_a_cli_error(self, tmp_path, capsys):
-        # The manifest pins the layout; asking migrate for a different count
-        # must fail loudly, not silently reshard or silently ignore the flag.
-        directory = str(tmp_path / "s")
-        self._populate(directory)
-        rc = store_main(
-            ["migrate", "--dir", directory, "--shards", str(DEFAULT_N_SHARDS + 1)]
-        )
-        assert rc == 1
-        assert "error:" in capsys.readouterr().err
-
-    def test_migrate_without_manifest_or_v1_creates_fresh(self, tmp_path, capsys):
-        directory = tmp_path / "never-existed"
-        assert store_main(["migrate", "--dir", str(directory), "--shards", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "fresh" in out and "no v1 store was present" in out
-        assert fmt.manifest_path(directory).exists()
-        with AnswerStore(directory) as store:
-            assert store.n_shards == 2
-
-    def test_migrate_corrupt_v1_fails_without_committing(self, tmp_path, capsys):
-        directory = tmp_path / "s"
-        directory.mkdir()
-        (directory / "wal.jsonl").write_text("garbage header\n")
-        assert store_main(["migrate", "--dir", str(directory)]) == 1
-        assert "error:" in capsys.readouterr().err
-        # The manifest is the commit point; a failed migration must not leave
-        # one behind (the v1 files stay authoritative for a retry).
-        assert not fmt.manifest_path(directory).exists()
-        assert (directory / "wal.jsonl").exists()
-
-    def test_migrate_with_stale_lock_file_proceeds(self, tmp_path, capsys):
-        # A leftover .migrate.lock from a crashed migration holds no flock;
-        # the next migrate must take it, finish, and clean it up.
-        directory = tmp_path / "s"
-        directory.mkdir()
-        header = json.dumps({"format": 1, "n_records": 9})
-        (directory / "wal.jsonl").write_text(
-            header + "\n" + json.dumps([1, 3, 1]) + "\n"
-        )
-        (directory / fmt.MIGRATE_LOCK_NAME).touch()
-        assert store_main(["migrate", "--dir", str(directory)]) == 0
-        assert "migrated" in capsys.readouterr().out
-        assert not (directory / fmt.MIGRATE_LOCK_NAME).exists()
-        with AnswerStore(directory) as store:
-            assert store.lookup(3) is True
-
-    def test_concurrent_migrations_serialize_on_the_lock(self, tmp_path):
-        # Two processes race `migrate` on one v1 store: flock on
-        # .migrate.lock serialises them, the winner migrates, the loser
-        # finds the manifest and reports idempotence — both exit 0 and no
-        # vote is lost or double-counted.
-        pytest.importorskip("fcntl")
-        directory = tmp_path / "s"
-        directory.mkdir()
-        header = json.dumps({"format": 1, "n_records": 9})
-        records = [json.dumps([k + 1, k, 1]) for k in range(5)]
-        (directory / "wal.jsonl").write_text(
-            "".join(line + "\n" for line in [header] + records)
-        )
-        ctx = multiprocessing.get_context("fork")
-        results = ctx.Queue()
-        workers = [
-            ctx.Process(target=_migrate_worker, args=(directory, results))
-            for _ in range(2)
-        ]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join(timeout=MP_GUARD)
-        assert sorted(results.get(timeout=5.0) for _ in workers) == [0, 0]
-        with AnswerStore(directory) as store:
-            assert store.n_shards == 2
-            assert store.n_votes == 5
-            for k in range(5):
-                assert store.lookup(k) is True
-
     def test_no_command_prints_help(self, capsys):
         assert store_main([]) == 2
 
-    def test_invalid_replication_reports_cli_error(self, tmp_path, capsys):
-        rc = store_main(["stats", "--dir", str(tmp_path / "s"), "--replication", "0"])
-        assert rc == 1
+    def test_v1_layout_reports_cli_error(self, tmp_path, capsys):
+        directory = tmp_path / "s"
+        directory.mkdir()
+        (directory / "wal.jsonl").write_text('{"format": 1}\n')
+        assert store_main(["stats", "--dir", str(directory)]) == 1
         assert "error:" in capsys.readouterr().err
 
 
