@@ -114,6 +114,9 @@ def _walk_subpackage(root_name: str) -> List[str]:
 def generate_api_docs(output_dir: Path) -> List[Path]:
     """Render `docs/api/` pages from docstrings; returns the written paths.
 
+    Any other ``*.md`` page in *output_dir* is deleted, so pages of removed
+    subpackages do not survive a regeneration.
+
     Raises :class:`DocsError` when a module fails to import or lacks a
     docstring.
     """
@@ -157,6 +160,10 @@ def generate_api_docs(output_dir: Path) -> List[Path]:
     index = output_dir / "index.md"
     index.write_text("\n".join(index_lines) + "\n", encoding="utf-8")
     written.append(index)
+    # A page whose subpackage is gone would otherwise outlive it and be
+    # published by the next site build.
+    for stale in set(output_dir.glob("*.md")) - set(written):
+        stale.unlink()
     return written
 
 

@@ -2,7 +2,7 @@
 # Local mirror of .github/workflows/ci.yml: same steps, same commands, so a
 # green `make ci` (or `scripts/ci.sh`) means a green pipeline.
 #
-# Usage: scripts/ci.sh [packaging|tests|lint|coverage|bench|docs|all]   (default: all)
+# Usage: scripts/ci.sh [packaging|tests|lint|coverage|bench|docs|examples|all]   (default: all)
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -90,6 +90,15 @@ run_docs() {
     python scripts/build_docs.py
 }
 
+run_examples() {
+    echo "== examples: run every examples/*.py (a non-zero exit fails) =="
+    local example
+    for example in examples/*.py; do
+        echo "-- $example"
+        python "$example" >/dev/null
+    done
+}
+
 case "$step" in
     packaging) run_packaging ;;
     tests) run_tests ;;
@@ -97,6 +106,7 @@ case "$step" in
     coverage) run_coverage ;;
     bench) run_bench ;;
     docs) run_docs ;;
+    examples) run_examples ;;
     all)
         run_packaging
         run_tests
@@ -104,9 +114,10 @@ case "$step" in
         run_coverage
         run_bench
         run_docs
+        run_examples
         ;;
     *)
-        echo "unknown step: $step (expected packaging|tests|lint|coverage|bench|docs|all)" >&2
+        echo "unknown step: $step (expected packaging|tests|lint|coverage|bench|docs|examples|all)" >&2
         exit 2
         ;;
 esac

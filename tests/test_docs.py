@@ -15,11 +15,15 @@ build_docs = pytest.importorskip("build_docs")
 
 class TestApiGeneration:
     def test_generates_one_page_per_subpackage(self, tmp_path):
+        stale = tmp_path / "removed_subpackage.md"  # a page left by an older tree
+        stale.write_text("# `repro.removed_subpackage`\n")
         written = build_docs.generate_api_docs(tmp_path)
         names = {p.name for p in written}
         for expected in ("engine.md", "oracles.md", "kcenter.md", "index.md"):
             assert expected in names
         assert (tmp_path / "index.md").read_text().count("](") >= 10
+        assert not stale.exists()
+        assert {p.name for p in tmp_path.glob("*.md")} == names
 
     def test_engine_page_documents_public_api(self, tmp_path):
         build_docs.generate_api_docs(tmp_path)
