@@ -193,12 +193,17 @@ STORED: Dict[str, Tuple[Callable, Callable]] = {
 PHASES = ("cold", "warm", "service")
 
 
+def _key(name: str, path: str, seed: int) -> str:
+    """The corpus key of one algorithm on one serving path at one seed."""
+    return f"{name}/{path}/seed{seed}"
+
+
 def entry_names() -> List[str]:
     """Every corpus key, in generation order."""
     names = []
     for seed in SEEDS:
-        names += [f"{name}/dense/seed{seed}" for name in DIRECT]
-        names += [f"{name}/{phase}/seed{seed}" for name in STORED for phase in PHASES]
+        names += [_key(name, "dense", seed) for name in DIRECT]
+        names += [_key(name, phase, seed) for name in STORED for phase in PHASES]
     return names
 
 
@@ -240,23 +245,17 @@ def _stored_entries(noise_factory: Callable, runner: Callable, seed: int, workdi
     return entries
 
 
-def compute_corpus(names: Optional[List[str]] = None) -> Dict[str, Entry]:
-    """Run every corpus entry (or only *names*) and return ``name -> entry``."""
+def compute_corpus() -> Dict[str, Entry]:
+    """Run every corpus entry and return ``name -> entry``."""
     corpus: Dict[str, Entry] = {}
     for seed in SEEDS:
         for name, (noise_factory, runner) in DIRECT.items():
-            key = f"{name}/dense/seed{seed}"
-            if names is None or key in names:
-                corpus[key] = _direct_entry(noise_factory, runner, seed)
+            corpus[_key(name, "dense", seed)] = _direct_entry(noise_factory, runner, seed)
         for name, (noise_factory, runner) in STORED.items():
-            keys = {phase: f"{name}/{phase}/seed{seed}" for phase in PHASES}
-            if names is not None and not set(keys.values()) & set(names):
-                continue
             with tempfile.TemporaryDirectory(prefix="repro-golden-") as workdir:
                 entries = _stored_entries(noise_factory, runner, seed, Path(workdir))
-            for phase, key in keys.items():
-                if names is None or key in names:
-                    corpus[key] = entries[phase]
+            for phase, entry in entries.items():
+                corpus[_key(name, phase, seed)] = entry
     return corpus
 
 

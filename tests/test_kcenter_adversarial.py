@@ -12,7 +12,7 @@ from repro.oracles import (
 )
 
 
-def _oracle(space, mu=0.0, seed=0):
+def _oracle(space, mu=0.0):
     noise = ExactNoise() if mu == 0.0 else AdversarialNoise(mu=mu)
     return DistanceQuadrupletOracle(space, noise=noise, counter=QueryCounter())
 
@@ -35,7 +35,7 @@ def test_noise_free_matches_exact_greedy_objective(blob_space):
 
 
 def test_recovers_well_separated_blobs_under_noise(small_points):
-    oracle = _oracle(small_points, mu=0.3, seed=1)
+    oracle = _oracle(small_points, mu=0.3)
     result = kcenter_adversarial(oracle, k=3, seed=1)
     # Three blobs are 10 apart with radius < 1, so a good clustering has a
     # small objective even under noise.
@@ -44,7 +44,7 @@ def test_recovers_well_separated_blobs_under_noise(small_points):
 
 def test_approximation_vs_exact_under_noise(blob_space):
     mu = 0.2
-    oracle = _oracle(blob_space, mu=mu, seed=2)
+    oracle = _oracle(blob_space, mu=mu)
     noisy = kcenter_adversarial(oracle, k=4, first_center=0, delta=0.1, seed=2)
     exact = greedy_kcenter_exact(blob_space, k=4, first_center=0)
     ratio = kcenter_objective(blob_space, noisy) / kcenter_objective(blob_space, exact)
@@ -55,7 +55,7 @@ def test_approximation_vs_exact_under_noise(blob_space):
 
 
 def test_query_count_recorded(blob_space):
-    oracle = _oracle(blob_space, mu=0.5, seed=0)
+    oracle = _oracle(blob_space, mu=0.5)
     result = kcenter_adversarial(oracle, k=3, seed=0)
     assert result.n_queries > 0
     assert result.n_queries <= oracle.counter.charged_queries
@@ -63,7 +63,7 @@ def test_query_count_recorded(blob_space):
 
 def test_query_complexity_better_than_all_pairs(blob_space):
     n = len(blob_space)
-    oracle = _oracle(blob_space, mu=0.5, seed=0)
+    oracle = _oracle(blob_space, mu=0.5)
     result = kcenter_adversarial(oracle, k=3, farthest_iterations=1, seed=0)
     # Theorem 4.2: O(nk^2 + nk log^2 k) charged queries, far below n^2 * k.
     assert result.n_queries < n * n
@@ -109,14 +109,14 @@ def test_empty_points_rejected(blob_space):
 
 
 def test_meta_records_parameters(blob_space):
-    oracle = _oracle(blob_space, mu=1.0, seed=0)
+    oracle = _oracle(blob_space, mu=1.0)
     result = kcenter_adversarial(oracle, k=2, delta=0.2, seed=0)
     assert result.meta["noise_model"] == "adversarial"
     assert result.meta["delta"] == 0.2
 
 
 def test_reproducible_with_seed(blob_space):
-    a = kcenter_adversarial(_oracle(blob_space, mu=0.5, seed=3), k=3, seed=42)
-    b = kcenter_adversarial(_oracle(blob_space, mu=0.5, seed=3), k=3, seed=42)
+    a = kcenter_adversarial(_oracle(blob_space, mu=0.5), k=3, seed=42)
+    b = kcenter_adversarial(_oracle(blob_space, mu=0.5), k=3, seed=42)
     assert a.centers == b.centers
     assert a.assignment == b.assignment

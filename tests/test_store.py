@@ -42,6 +42,7 @@ from repro.store import (
     AnswerStore,
     StoredComparisonOracle,
     StoredQuadrupletOracle,
+    comparison_code,
     shard_of,
 )
 from repro.store import format as fmt
@@ -781,7 +782,7 @@ class TestStoredOracles:
         directory = tmp_path / "s"
         space = _space()
 
-        def run_once(noise_seed):
+        def run_once():
             store = AnswerStore(directory)
             inner = DistanceQuadrupletOracle(
                 space, noise=AdversarialNoise(mu=0.3), counter=QueryCounter()
@@ -791,8 +792,8 @@ class TestStoredOracles:
             store.close()
             return result, wrapped.counter
 
-        cold, cold_counter = run_once(2)
-        warm, warm_counter = run_once(123)
+        cold, cold_counter = run_once()
+        warm, warm_counter = run_once()
         assert warm.centers == cold.centers
         assert warm_counter.charged_queries * 2 <= cold_counter.charged_queries
         assert warm_counter.cached_queries == cold_counter.total_queries
@@ -818,6 +819,25 @@ class TestStoredOracles:
         assert batch_oracle.counter.snapshot() == scalar_oracle.counter.snapshot()
         store_a.close()
         store_b.close()
+
+        # A key tied 1-1 is unresolved, so its first ask is charged.  That
+        # vote breaks the tie for the fresh answer: the repeat is a hit and
+        # reads the same answer as the store does afterwards.
+        code = comparison_code(2, 9, 25)
+        tie_answers = {}
+        for path in ("scalar", "batch"):
+            store, oracle = build(tmp_path / f"tie-{path}")
+            store.add_votes([code, code], [True, False])
+            if path == "scalar":
+                answers = [oracle.compare(2, 9), oracle.compare(2, 9)]
+            else:
+                answers = oracle.compare_batch([2, 2], [9, 9]).tolist()
+            assert answers[0] == answers[1] == store.lookup(code)
+            assert oracle.counter.charged_queries == 1
+            assert oracle.counter.cached_queries == 1
+            tie_answers[path] = answers
+            store.close()
+        assert tie_answers["batch"] == tie_answers["scalar"]
 
     def test_orientation_consistency_served_from_store(self, tmp_path):
         store = AnswerStore(tmp_path / "s")
